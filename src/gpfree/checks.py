@@ -41,7 +41,7 @@ from .greedy import (
 )
 from .quaternion import HurwitzInt, enumerate_norm
 
-__all__ = ["CheckResult", "all_check_names", "run_checks"]
+__all__ = ["CheckResult", "run_checks"]
 
 
 @dataclass(frozen=True)
@@ -242,18 +242,11 @@ _REGISTRY: tuple[tuple[str, Callable[[], tuple[bool, str]], bool], ...] = (
 )
 
 
-def all_check_names(quick: bool = False) -> list[str]:
-    return [name for name, _, in_quick in _REGISTRY if in_quick or not quick]
-
-
-def run_checks(names: list[str] | None = None, quick: bool = False) -> list[CheckResult]:
-    """Run the named checks (default: all; quick skips the 343 greedy run)."""
-    wanted = set(names) if names is not None else None
+def run_checks(quick: bool = False) -> list[CheckResult]:
+    """Run every registered check; quick skips the 343 greedy run."""
     results = []
     for name, fn, in_quick in _REGISTRY:
-        if wanted is not None and name not in wanted:
-            continue
-        if wanted is None and quick and not in_quick:
+        if quick and not in_quick:
             continue
         start = time.perf_counter()
         try:

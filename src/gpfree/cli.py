@@ -12,7 +12,8 @@ GPFREE_OUTPUT_DIR environment variable, if set, names a directory that
 receives <subcommand>.<ext> instead.
 
 Exit status: 0 on success, 1 when a verification subcommand finds a
-failure, 2 for malformed invocations (argparse's convention).
+failure, 2 for malformed invocations (argparse's convention) and for
+arguments the library rejects, with a one-line message on stderr.
 """
 
 from __future__ import annotations
@@ -328,8 +329,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
-    return args.func(args)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        parser.exit(2, f"gpfree: error: {exc}\n")
 
 
 def main() -> None:

@@ -3,12 +3,14 @@
 The number of elements of norm N is 24 times the sum of the odd
 divisors of N.  Everything in this module is exact integer or rational
 arithmetic built on that formula; the lattice enumeration that confirms
-it lives in :mod:`gpfree.quaternion`.
+it lives in :mod:`gpfree.quaternion`.  The integer factorization and
+prime test here are the only ones in the package.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -16,32 +18,50 @@ __all__ = [
     "NormCount",
     "count_norm_exact",
     "count_upto",
+    "factorize",
+    "is_rational_prime",
     "odd_divisor_sum",
     "proportion_exact_ppower",
 ]
 
 
-def odd_divisor_sum(n: int) -> int:
-    """Sum of the odd divisors of n (n >= 1)."""
+def factorize(n: int):
+    """Yield the prime factorization of n as (p, e) pairs by ascending p.
+
+    A generator, so a caller that stops early (a prime test at the first
+    factor, a membership test at the first bad exponent) pays only for
+    the trial division up to that factor.
+
+    Raises:
+        ValueError: if n < 1.
+    """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    while n % 2 == 0:
-        n //= 2
-    total = 1
+    twos = (n & -n).bit_length() - 1
+    if twos:
+        yield 2, twos
+        n >>= twos
     f = 3
     while f * f <= n:
         if n % f == 0:
-            power = 1
-            part = 1
+            e = 0
             while n % f == 0:
                 n //= f
-                power *= f
-                part += power
-            total *= part
+                e += 1
+            yield f, e
         f += 2
     if n > 1:
-        total *= 1 + n
-    return total
+        yield n, 1
+
+
+def is_rational_prime(n: int) -> bool:
+    """Whether the integer n is prime; False for n < 2."""
+    return n > 1 and next(factorize(n)) == (n, 1)
+
+
+def odd_divisor_sum(n: int) -> int:
+    """Sum of the odd divisors of n (n >= 1)."""
+    return math.prod((p ** (e + 1) - 1) // (p - 1) for p, e in factorize(n) if p != 2)
 
 
 def count_norm_exact(norm: int) -> int:
@@ -125,9 +145,7 @@ def proportion_exact_ppower(p: int, n: int) -> Fraction:
     Raises:
         ValueError: if p is not prime or n is negative.
     """
-    from .quaternion import _is_rational_prime
-
-    if not _is_rational_prime(p):
+    if not is_rational_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     if n < 0:
         raise ValueError(f"valuation must be nonnegative, got {n}")

@@ -18,6 +18,7 @@ from decimal import Decimal
 from fractions import Fraction
 from typing import Literal
 
+from .counting import factorize
 from .quaternion import HurwitzInt
 
 __all__ = [
@@ -180,19 +181,7 @@ def rankin_gpfree_contains(n: int) -> bool:
     Raises:
         ValueError: if n < 1.
     """
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            e = 0
-            while n % f == 0:
-                n //= f
-                e += 1
-            if not rankin_apfree_contains(e):
-                return False
-        f += 1 if f == 2 else 2
-    return True
+    return all(rankin_apfree_contains(e) for _, e in factorize(n))
 
 
 def rankin_quaternion_contains(q: HurwitzInt) -> bool:

