@@ -12,8 +12,8 @@ GPFREE_OUTPUT_DIR environment variable, if set, names a directory that
 receives <subcommand>.<ext> instead.
 
 Exit status: 0 on success, 1 when a verification subcommand finds a
-failure, 2 for malformed invocations (argparse's convention) and for
-arguments the library rejects, with a one-line message on stderr.
+failure, 2 for malformed invocations (argparse's convention), rejected
+arguments and unwritable output paths, with a one-line message on stderr.
 """
 
 from __future__ import annotations
@@ -333,7 +333,7 @@ def run(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         parser.exit(2, f"gpfree: error: {exc}\n")
 
 

@@ -42,30 +42,31 @@ class GreedyReport:
         return frozenset(q.coords for q in self.included)
 
 
-def _right_quotient(b: HurwitzInt, a: HurwitzInt) -> HurwitzInt | None:
-    """The q with q * a == b, if it is integral."""
-    n = a.norm()
-    prod = b * a.conjugate()
-    da, db, dc, dd = prod.coords
-    if da % n or db % n or dc % n or dd % n:
-        return None
-    da, db, dc, dd = da // n, db // n, dc // n, dd // n
-    if (da ^ db) & 1 or (da ^ dc) & 1 or (da ^ dd) & 1:
-        return None
-    return HurwitzInt(da, db, dc, dd)
+def _mul(p: tuple[int, int, int, int], q: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
+    """Product of two elements given as doubled-coordinate tuples."""
+    a1, b1, c1, d1 = p
+    a2, b2, c2, d2 = q
+    return ((a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2) // 2,
+            (a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2) // 2,
+            (a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2) // 2,
+            (a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2) // 2)
 
 
 def build_greedy(max_norm: int, rng: random.Random | None = None) -> GreedyReport:
     """Run the greedy progression-free selection over norms 1..max_norm.
 
-    A candidate c of norm N is rejected exactly when N = s * t * t for
-    some integer t >= 2 and there is a ratio r of norm t with
-    c = (a * r) * r for kept elements a and a * r.  The builder scans
-    the finitely many (s, t) splits of N and the norm-t ratio classes,
-    recovering a by exact right division.  Witness norms s and s * t are
-    strictly below N, so decisions within one norm are independent of
-    each other; passing an rng shuffles the within-norm processing
-    order, which must not change the outcome.
+    A candidate c of norm N = s * t * t (t >= 2) is rejected exactly when
+    c = a * r * r for a ratio r of norm t with a and a * r kept.  Both
+    lie below norm N, so decisions within a norm are independent: an rng
+    shuffles the within-norm order, which must not change the outcome.
+
+    Each shell's progressions are generated forwards, over splits t
+    ascending, ratios r of norm t in enumeration order and kept a of
+    norm s with b = a * r kept: c = b * r keeps the first (a, b, r) it
+    gets.  As a = c * (r*r)^-1 is unique for fixed r, that is the witness
+    a backward search dividing c by each r * r stops at.  The kept set
+    is closed under negation, so -b = a * (-r) is kept exactly when b
+    is, and of r and -r only the one enumerated first is scanned.
 
     Args:
         max_norm: largest norm processed, at least 1.
@@ -76,39 +77,38 @@ def build_greedy(max_norm: int, rng: random.Random | None = None) -> GreedyRepor
     """
     if max_norm < 1:
         raise ValueError(f"max_norm must be positive, got {max_norm}")
-    included: list[HurwitzInt] = []
-    excluded = []
-    kept = set()
+    included, excluded, kept = [], [], set()
+    kept_by_norm: dict[int, list[tuple[int, int, int, int]]] = {}
     ratio_classes: dict[int, list[HurwitzInt]] = {}
     for n in range(1, max_norm + 1):
         candidates = enumerate_norm(n)
         if rng is not None:
             candidates = list(candidates)
             rng.shuffle(candidates)
-        splits = []
+        witnesses = {}
         for t in range(2, math.isqrt(n) + 1):
-            if n % (t * t) == 0:
-                if t not in ratio_classes:
-                    ratio_classes[t] = enumerate_norm(t)
-                splits.append(t)
+            if n % (t * t):
+                continue
+            if t not in ratio_classes:
+                ratio_classes[t] = [r for r in enumerate_norm(t) if r.coords < (-r).coords]
+            firsts = kept_by_norm[n // (t * t)]
+            for r in ratio_classes[t]:
+                rc = r.coords
+                for a in firsts:
+                    b = _mul(a, rc)
+                    if b in kept:
+                        witnesses.setdefault(_mul(b, rc), (a, b, r))
+        shell = kept_by_norm[n] = []
         for c in candidates:
-            witness = None
-            for t in splits:
-                for r in ratio_classes[t]:
-                    a = _right_quotient(c, r * r)
-                    if a is None:
-                        continue
-                    b = a * r
-                    if a.coords in kept and b.coords in kept:
-                        witness = (a, b, r)
-                        break
-                if witness:
-                    break
+            cc = c.coords
+            witness = witnesses.get(cc)
             if witness is None:
                 included.append(c)
-                kept.add(c.coords)
+                shell.append(cc)
             else:
-                excluded.append((c, witness))
+                a, b, r = witness
+                excluded.append((c, (HurwitzInt(*a), HurwitzInt(*b), r)))
+        kept.update(shell)
     return GreedyReport(max_norm, tuple(included), tuple(excluded))
 
 

@@ -1,5 +1,6 @@
 """End-to-end command tests driven through run() in process."""
 
+import hashlib
 import json
 
 import pytest
@@ -123,6 +124,17 @@ class TestGreedyHur:
         rows = out.strip().split("\n")[1:]
         assert len(rows) == 168
 
+    # Output bytes of the greedy at norm 49 as the backward-search builder
+    # wrote them; a moved hash means a moved witness.
+    @pytest.mark.parametrize("emit, sha256", [
+        ("csv", "8631dc7e1c2f8a420ae0833dcf2703dfc980cfc539b0cd752bb70718d0f2296b"),
+        ("json", "fd1a599fd817e2d4e0041ef0b10102d7a5d911e5abe0c9f238ed5f1a393dc3a4"),
+    ], ids=["csv", "json"])
+    def test_pinned_bytes(self, emit, sha256, capsys):
+        code, out = invoke(capsys, "greedy-hur", "--max-norm", "49", "--emit", emit)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
 
 class TestFreegroup:
     def test_greedy_words(self, capsys):
@@ -209,10 +221,17 @@ class TestParsing:
         "bounds --terms 0",
         "freegroup density --n -1",
         "freegroup greedy --max-len -1",
+        "--output /nonexistent/x.json count --norm 3",
+        "GPFREE_OUTPUT_DIR=/nonexistent count --norm 3",
     ])
-    def test_rejected_argument_exits_two(self, argv, capsys):
+    def test_rejected_argument_exits_two(self, argv, capsys, monkeypatch):
+        words = argv.split()
+        # Leading NAME=value words set environment variables, as in a shell.
+        while "=" in words[0]:
+            name, value = words.pop(0).split("=", 1)
+            monkeypatch.setenv(name, value)
         with pytest.raises(SystemExit) as exc:
-            run(argv.split())
+            run(words)
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""

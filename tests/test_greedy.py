@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -10,7 +11,55 @@ from gpfree.greedy import (
     is_unit_square_representable,
     square_norm_gap,
 )
-from gpfree.quaternion import HurwitzInt, ONE, ZERO, is_gp_triple, units
+from gpfree.quaternion import (
+    HurwitzInt,
+    ONE,
+    ZERO,
+    enumerate_norm,
+    is_gp_triple,
+    left_divide,
+    units,
+)
+
+
+def backward_greedy(max_norm, rng=None):
+    """Slow oracle: the greedy that searches backwards from each candidate.
+
+    For each candidate c it scans the splits t ascending and the norm-t
+    ratios r in enumeration order, recovers a with a * r * r == c by
+    exact right division, and stops at the first r whose a and a * r
+    are both kept.  Right division is conj(left_divide(conj(r*r), conj(c))).
+    """
+    included, excluded, kept = [], [], set()
+    ratios = {}
+    for n in range(1, max_norm + 1):
+        candidates = list(enumerate_norm(n))
+        if rng is not None:
+            rng.shuffle(candidates)
+        splits = [t for t in range(2, math.isqrt(n) + 1) if n % (t * t) == 0]
+        for t in splits:
+            if t not in ratios:
+                ratios[t] = enumerate_norm(t)
+        for c in candidates:
+            witness = None
+            for t in splits:
+                for r in ratios[t]:
+                    q = left_divide((r * r).conjugate(), c.conjugate())
+                    if q is None:
+                        continue
+                    a = q.conjugate()
+                    b = a * r
+                    if a.coords in kept and b.coords in kept:
+                        witness = (a, b, r)
+                        break
+                if witness:
+                    break
+            if witness is None:
+                included.append(c)
+                kept.add(c.coords)
+            else:
+                excluded.append((c, witness))
+    return tuple(included), tuple(excluded)
 
 
 class TestBuildGreedy:
@@ -53,6 +102,19 @@ class TestBuildGreedy:
         for seed in range(3):
             shuffled = build_greedy(30, rng=random.Random(seed))
             assert shuffled.included_coords() == base
+
+    @pytest.mark.parametrize("seed", [None, 0, 1])
+    def test_matches_backward_search(self, seed):
+        # Norm 36 scans every split t = 2..6; up to it, no norm-4 ratio is
+        # ever the first witness.
+        def rng():
+            return None if seed is None else random.Random(seed)
+
+        report = build_greedy(36, rng=rng())
+        included, excluded = backward_greedy(36, rng=rng())
+        assert {r.norm() for _, (_, _, r) in excluded} == {2, 3, 5, 6}
+        assert report.included == included
+        assert report.excluded == excluded
 
     def test_nothing_excluded_below_four(self):
         report = build_greedy(3)
