@@ -8,112 +8,15 @@ with Rankin norm, greedy progression-free selections both for
 quaternions and for the free product of two involutions, and explicit
 arithmetic-progression witnesses for everything the integer greedy
 rejects.
+
+The root re-exports only HurwitzInt, factor_modelled and build_greedy;
+every other name lives in its submodule (counting, density, freegroup,
+greedy, quaternion, checks, cli).
 """
 
-from .counting import (
-    NormCount,
-    count_norm_exact,
-    count_upto,
-    odd_divisor_sum,
-    proportion_exact_ppower,
-)
-from .density import (
-    DEFAULT_ANNULI,
-    AnnuliSpec,
-    DensityEstimate,
-    lower_bound_density,
-    rankin_apfree_contains,
-    rankin_density,
-    rankin_even_factor,
-    rankin_gpfree_contains,
-    rankin_quaternion_contains,
-    upper_bound_density,
-    verify_annuli_gp_free,
-)
-from .freegroup import (
-    IDENTITY,
-    Word,
-    alt_order_index,
-    alt_order_value,
-    even_word_to_int,
-    greedy_set_bruteforce,
-    greedy_set_contains,
-    greedy_set_density,
-    greedy_words_bruteforce,
-    greedy_words_density,
-    index_of,
-    int_to_even_word,
-    ternary,
-    witness_progression,
-    word_at,
-    word_mul,
-)
-from .greedy import (
-    GreedyReport,
-    build_greedy,
-    greatest_odd_divisor,
-    is_unit_square_representable,
-    square_norm_gap,
-)
-from .quaternion import (
-    ONE,
-    HurwitzInt,
-    ModelledFactorization,
-    enumerate_norm,
-    factor_modelled,
-    is_gp_triple,
-    is_prime,
-    left_divide,
-    units,
-)
+from .greedy import build_greedy
+from .quaternion import HurwitzInt, factor_modelled
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AnnuliSpec",
-    "DEFAULT_ANNULI",
-    "DensityEstimate",
-    "GreedyReport",
-    "HurwitzInt",
-    "IDENTITY",
-    "ModelledFactorization",
-    "NormCount",
-    "ONE",
-    "Word",
-    "alt_order_index",
-    "alt_order_value",
-    "build_greedy",
-    "count_norm_exact",
-    "count_upto",
-    "enumerate_norm",
-    "even_word_to_int",
-    "factor_modelled",
-    "greatest_odd_divisor",
-    "greedy_set_bruteforce",
-    "greedy_set_contains",
-    "greedy_set_density",
-    "greedy_words_bruteforce",
-    "greedy_words_density",
-    "index_of",
-    "int_to_even_word",
-    "is_gp_triple",
-    "is_prime",
-    "is_unit_square_representable",
-    "left_divide",
-    "lower_bound_density",
-    "odd_divisor_sum",
-    "proportion_exact_ppower",
-    "rankin_apfree_contains",
-    "rankin_density",
-    "rankin_even_factor",
-    "rankin_gpfree_contains",
-    "rankin_quaternion_contains",
-    "square_norm_gap",
-    "ternary",
-    "units",
-    "upper_bound_density",
-    "verify_annuli_gp_free",
-    "witness_progression",
-    "word_at",
-    "word_mul",
-]
+__all__ = ["HurwitzInt", "build_greedy", "factor_modelled"]

@@ -121,14 +121,16 @@ def check_annuli() -> tuple[bool, str]:
     return ok, f"two scale blocks progression-free: {good}, widened interval rejected: {not bad}"
 
 
+# The eight elements +-7e for e in 1, i, j, k, in axis-then-sign order.
+_SEVEN_AXES = tuple(
+    HurwitzInt.from_integers(*(sign * 7 if i == axis else 0 for i in range(4)))
+    for axis in range(4)
+    for sign in (1, -1)
+)
+
+
 def check_unit_square() -> tuple[bool, str]:
-    seven = []
-    for axis in range(4):
-        coords = [0, 0, 0, 0]
-        coords[axis] = 7
-        for sign in (1, -1):
-            q = HurwitzInt.from_integers(*[sign * c for c in coords])
-            seven.append(is_unit_square_representable(q) is None)
+    seven = [is_unit_square_representable(q) is None for q in _SEVEN_AXES]
     two_i = is_unit_square_representable(HurwitzInt.from_integers(0, 2, 0, 0))
     ok = all(seven) and two_i is not None
     u, r = two_i if two_i else (None, None)
@@ -145,13 +147,7 @@ def check_square_norm_gap() -> tuple[bool, str]:
 def check_greedy_quaternions() -> tuple[bool, str]:
     report = build_greedy(49)
     kept = report.included_coords()
-    axes = []
-    for axis in range(4):
-        coords = [0, 0, 0, 0]
-        coords[axis] = 7
-        for sign in (1, -1):
-            q = HurwitzInt.from_integers(*[sign * c for c in coords])
-            axes.append(q.coords in kept)
+    axes = [q.coords in kept for q in _SEVEN_AXES]
     stable = all(
         build_greedy(49, rng=random.Random(seed)).included_coords() == kept
         for seed in range(10)

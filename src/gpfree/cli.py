@@ -254,13 +254,13 @@ def _cmd_freegroup(args) -> int:
 def _cmd_verify_all(args) -> int:
     results = run_checks(quick=args.quick)
     width = max(len(r.name) for r in results)
-    for r in results:
-        flag = "PASS" if r.ok else "FAIL"
-        sys.stdout.write(f"{flag} {r.name:<{width}} ({r.seconds:6.2f}s) {r.detail}\n")
+    lines = [
+        f"{'PASS' if r.ok else 'FAIL'} {r.name:<{width}} ({r.seconds:6.2f}s) {r.detail}\n"
+        for r in results
+    ]
     failed = [r for r in results if not r.ok]
-    sys.stdout.write(
-        f"{len(results) - len(failed)}/{len(results)} checks passed\n"
-    )
+    lines.append(f"{len(results) - len(failed)}/{len(results)} checks passed\n")
+    _write("".join(lines), args, "txt")
     return 0 if not failed else 1
 
 

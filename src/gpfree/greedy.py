@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 
 from .counting import count_norm_exact
-from .quaternion import HurwitzInt, enumerate_norm, units
+from .quaternion import HurwitzInt, _mul, enumerate_norm, units
 
 __all__ = [
     "GreedyReport",
@@ -40,16 +40,6 @@ class GreedyReport:
 
     def included_coords(self) -> frozenset[tuple[int, int, int, int]]:
         return frozenset(q.coords for q in self.included)
-
-
-def _mul(p: tuple[int, int, int, int], q: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
-    """Product of two elements given as doubled-coordinate tuples."""
-    a1, b1, c1, d1 = p
-    a2, b2, c2, d2 = q
-    return ((a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2) // 2,
-            (a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2) // 2,
-            (a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2) // 2,
-            (a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2) // 2)
 
 
 def build_greedy(max_norm: int, rng: random.Random | None = None) -> GreedyReport:

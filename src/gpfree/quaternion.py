@@ -29,6 +29,22 @@ __all__ = [
 ]
 
 
+def _mul(p: tuple[int, int, int, int], q: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
+    """Product of two elements given as doubled-coordinate tuples.
+
+    The one Hamilton product in the package: ``HurwitzInt.__mul__`` wraps
+    it, and ``greedy`` calls it directly on tuples in its inner loop.
+    """
+    a1, b1, c1, d1 = p
+    a2, b2, c2, d2 = q
+    # Products of doubled coordinates carry a factor 4; one factor 2
+    # stays in the result's doubled coordinates, the other divides out.
+    return ((a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2) // 2,
+            (a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2) // 2,
+            (a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2) // 2,
+            (a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2) // 2)
+
+
 class HurwitzInt:
     """A Hurwitz integer held as four doubled coordinates of equal parity.
 
@@ -77,16 +93,7 @@ class HurwitzInt:
     def __mul__(self, other: "HurwitzInt") -> "HurwitzInt":
         if not isinstance(other, HurwitzInt):
             return NotImplemented
-        a1, b1, c1, d1 = self.da, self.db, self.dc, self.dd
-        a2, b2, c2, d2 = other.da, other.db, other.dc, other.dd
-        # Products of doubled coordinates carry a factor 4; one factor 2
-        # stays in the result's doubled coordinates, the other divides out.
-        return HurwitzInt(
-            (a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2) // 2,
-            (a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2) // 2,
-            (a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2) // 2,
-            (a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2) // 2,
-        )
+        return HurwitzInt(*_mul(self.coords, other.coords))
 
     def __neg__(self) -> "HurwitzInt":
         return HurwitzInt(-self.da, -self.db, -self.dc, -self.dd)
@@ -110,50 +117,23 @@ ONE = HurwitzInt.from_integers(1, 0, 0, 0)
 ZERO = HurwitzInt.from_integers(0, 0, 0, 0)
 
 
-def _build_units() -> tuple[HurwitzInt, ...]:
-    found = []
-    for da in (-2, -1, 0, 1, 2):
-        for db in (-2, -1, 0, 1, 2):
-            for dc in (-2, -1, 0, 1, 2):
-                for dd in (-2, -1, 0, 1, 2):
-                    if (da ^ db) & 1 or (da ^ dc) & 1 or (da ^ dd) & 1:
-                        continue
-                    if da * da + db * db + dc * dc + dd * dd == 4:
-                        found.append(HurwitzInt(da, db, dc, dd))
-    found.sort(key=lambda q: q.coords)
-    return tuple(found)
-
-
-_UNITS = _build_units()
-
-
-def units() -> tuple[HurwitzInt, ...]:
-    """The 24 units of the order, in lexicographic coordinate order.
-
-    Eight elements with a single coordinate equal to +-1 and sixteen of
-    the form (+-1 +- i +- j +- k)/2.
-    """
-    return _UNITS
-
-
-# Two-square decomposition tables drive norm-class enumeration.  For a
+# Two-square decomposition table drives norm-class enumeration.  For a
 # target doubled-norm 4N we split 4N = m1 + m2 and glue a pair with
-# u^2 + v^2 = m1 onto a pair with s^2 + t^2 = m2.  Parity bookkeeping:
-# both members of a two-square pair are even iff the sum is 0 mod 4 and
-# both odd iff it is 2 mod 4, so drawing m1 and m2 from the same residue
-# class mod 4 enforces the shared-parity constraint for free.
-_pair_even: list[list[tuple[int, int]]] = [[] for _ in range(1)]
-_pair_odd: list[list[tuple[int, int]]] = [[] for _ in range(1)]
+# u^2 + v^2 = m1 onto a pair with s^2 + t^2 = m2.  Only same-parity
+# pairs are stored: both even sum to 0 mod 4 and both odd to 2 mod 4,
+# so one table serves both kinds without sharing an index.  As 4N is
+# 0 mod 4, m1 and m2 = 4N - m1 always fall in the same residue class,
+# which makes every glued quadruple share one parity for free.
+_pairs: list[list[tuple[int, int]]] = [[]]
 
 
-def _extend_pair_tables(limit: int) -> None:
-    have = len(_pair_even) - 1
+def _extend_pair_table(limit: int) -> None:
+    have = len(_pairs) - 1
     if limit <= have:
         return
     # Round up so repeated slightly-larger requests do not rebuild.
     limit = max(limit, 2 * have, 1024)
-    even = [[] for _ in range(limit + 1)]
-    odd = [[] for _ in range(limit + 1)]
+    pairs = [[] for _ in range(limit + 1)]
     top = math.isqrt(limit)
     for u in range(-top, top + 1):
         uu = u * u
@@ -163,9 +143,8 @@ def _extend_pair_tables(limit: int) -> None:
                 continue
             if (u ^ v) & 1:
                 continue
-            (odd if u & 1 else even)[m].append((u, v))
-    _pair_even[:] = even
-    _pair_odd[:] = odd
+            pairs[m].append((u, v))
+    _pairs[:] = pairs
 
 
 def enumerate_norm(norm: int) -> list[HurwitzInt]:
@@ -184,17 +163,27 @@ def enumerate_norm(norm: int) -> list[HurwitzInt]:
     if norm < 1:
         raise ValueError(f"norm must be positive, got {norm}")
     target = 4 * norm
-    _extend_pair_tables(target)
-    out = []
+    _extend_pair_table(target)
+    coords = []
     for m1 in range(0, target + 1, 2):
-        m2 = target - m1
-        if m1 & 3 == m2 & 3:
-            table = _pair_even if m1 & 3 == 0 else _pair_odd
-            for da, db in table[m1]:
-                for dc, dd in table[m2]:
-                    out.append(HurwitzInt(da, db, dc, dd))
-    out.sort(key=lambda q: q.coords)
-    return out
+        tail = _pairs[target - m1]
+        for da, db in _pairs[m1]:
+            for dc, dd in tail:
+                coords.append((da, db, dc, dd))
+    coords.sort()
+    return [HurwitzInt(*c) for c in coords]
+
+
+_UNITS = tuple(enumerate_norm(1))
+
+
+def units() -> tuple[HurwitzInt, ...]:
+    """The 24 units of the order, in lexicographic coordinate order.
+
+    Eight elements with a single coordinate equal to +-1 and sixteen of
+    the form (+-1 +- i +- j +- k)/2.
+    """
+    return _UNITS
 
 
 def left_divide(a: HurwitzInt, b: HurwitzInt) -> HurwitzInt | None:

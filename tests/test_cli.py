@@ -68,6 +68,18 @@ class TestEnumerate:
         assert len(lines) == 24
         assert "(1,1,1,1)/2" in lines
 
+    # Enumeration order fixes greedy witnesses and modelled factors, so
+    # the bytes are pinned, not just the element sets.
+    @pytest.mark.parametrize("argv, sha256", [
+        (("--norm", "2047"), "f3c07a2527743a4370b9e8b1981d821c2b3604fa32c6f57b617bfc6c4b8cf57b"),
+        (("--norm", "50", "--emit", "text"),
+         "b4dbff0a9e03c4da1060c37fb7ceef5af9a7aca70b161ea0570629fb88ad925f"),
+    ], ids=["json-2047", "text-50"])
+    def test_pinned_bytes(self, argv, sha256, capsys):
+        code, out = invoke(capsys, "enumerate", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
 
 class TestBounds:
     def test_default_terms(self, capsys):
@@ -180,6 +192,26 @@ class TestOutputTargets:
         assert capsys.readouterr().out == ""
         written = tmp_path / "freegroup-density.json"
         assert json.loads(written.read_text())["integers"]["rational"] == "2/3"
+
+    FAKE_CHECKS = [CheckResult("alpha", True, "fine", 0.01),
+                   CheckResult("beta", False, "broke", 0.02)]
+    FAKE_REPORT = "PASS alpha (  0.01s) fine\nFAIL beta  (  0.02s) broke\n1/2 checks passed\n"
+
+    def test_verify_all_output_flag(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("gpfree.cli.run_checks", lambda quick: self.FAKE_CHECKS)
+        target = tmp_path / "v.txt"
+        code = run(["--output", str(target), "verify-all", "--quick"])
+        assert code == 1
+        assert capsys.readouterr().out == ""
+        assert target.read_text() == self.FAKE_REPORT
+
+    def test_verify_all_output_dir_env(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("gpfree.cli.run_checks", lambda quick: self.FAKE_CHECKS)
+        monkeypatch.setenv("GPFREE_OUTPUT_DIR", str(tmp_path))
+        code = run(["verify-all", "--quick"])
+        assert code == 1
+        assert capsys.readouterr().out == ""
+        assert (tmp_path / "verify-all.txt").read_text() == self.FAKE_REPORT
 
 
 class TestVerifyAll:
