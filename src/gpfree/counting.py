@@ -79,14 +79,19 @@ def count_upto(max_norm: int) -> int:
     Summing the odd-divisor counts directly would cost a divisor sum per
     norm; swapping the order of summation instead groups by cofactor m
     and sums the odd numbers up to max_norm // m, which is a square.
-    Runs in O(max_norm) integer operations.
+    That quotient takes O(sqrt(max_norm)) distinct values, each on a
+    run of consecutive m, so the sum runs in O(sqrt(max_norm)) steps.
     """
     if max_norm < 0:
         raise ValueError(f"max_norm must be nonnegative, got {max_norm}")
     total = 0
-    for m in range(1, max_norm + 1):
-        k = (max_norm // m + 1) // 2
-        total += k * k
+    m = 1
+    while m <= max_norm:
+        quotient = max_norm // m
+        last = max_norm // quotient
+        k = (quotient + 1) // 2
+        total += (last - m + 1) * k * k
+        m = last + 1
     return 24 * total
 
 

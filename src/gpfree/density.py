@@ -5,13 +5,17 @@ sets of Hurwitz integers free of geometric progressions, the matching
 power-of-two upper bound, and the Euler product giving the density of
 Hurwitz integers whose norm is a Rankin integer, meaning every prime
 exponent of the norm avoids the digit 2 in base 3.  Bounds are exact
-rationals; the Euler product is evaluated factor by factor as an exact
-rational and accumulated in 50-digit decimal arithmetic.
+rationals.  The Euler product is accumulated in 50-digit decimal
+arithmetic; each odd-prime factor is first summed in fixed point with
+14 guard digits and rounded once, and is divided out exactly only in
+the rare case where the fixed-point error window holds a rounding
+midpoint, so every factor is the correctly rounded 50-digit value.
 """
 
 from __future__ import annotations
 
 import decimal
+import itertools
 import math
 from dataclasses import dataclass, field
 from decimal import Decimal
@@ -121,6 +125,21 @@ def upper_bound_density(terms: int | None = None) -> Fraction:
     return total
 
 
+def _kept_mask(max_norm: int, spec: AnnuliSpec) -> bytearray:
+    """Flags for 0..max_norm, set exactly where spec.contains(n, max_norm) holds.
+
+    The integers of the annulus (m/lo, m/hi] are m//lo + 1 .. m//hi, so
+    each annulus is marked as one run instead of testing every n.
+    """
+    kept = bytearray(max_norm + 1)
+    for m in spec.scales_upto(max_norm):
+        for lo, hi in spec.interval_ratios:
+            first, last = m // lo + 1, min(m // hi, max_norm)
+            if first <= last:
+                kept[first : last + 1] = b"\x01" * (last + 1 - first)
+    return kept
+
+
 def verify_annuli_gp_free(max_norm: int, spec: AnnuliSpec = DEFAULT_ANNULI) -> bool:
     """Brute-force check that the kept norms contain no geometric triple.
 
@@ -141,7 +160,7 @@ def verify_annuli_gp_free(max_norm: int, spec: AnnuliSpec = DEFAULT_ANNULI) -> b
     """
     if max_norm < 48:
         raise ValueError(f"max_norm must be at least 48, got {max_norm}")
-    kept = [spec.contains(n, max_norm) for n in range(max_norm + 1)]
+    kept = _kept_mask(max_norm, spec)
     for n in range(1, max_norm + 1):
         if not kept[n]:
             continue
@@ -235,7 +254,87 @@ def _primes_upto(limit: int) -> list[int]:
     for p in range(2, math.isqrt(limit) + 1):
         if sieve[p]:
             sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return [p for p in range(2, limit + 1) if sieve[p]]
+    return list(itertools.compress(range(limit + 1), sieve))
+
+
+# Odd-prime factors lie in [5/9, 1), so 50 significant digits are 50
+# decimal places.  They are summed at scale 10**(50 + _GUARD_DIGITS).
+# _CONTEXT is the product's arithmetic, and is passed where a factor is
+# built so that a caller's narrower context cannot round it.
+_DIGITS = 50
+_GUARD_DIGITS = 14
+_SCALE = 10 ** (_DIGITS + _GUARD_DIGITS)
+_UNIT = 10**_GUARD_DIGITS
+_HALF_UNIT = _UNIT // 2
+_COEFFICIENTS = range(10 ** (_DIGITS - 1), 10**_DIGITS)
+_CONTEXT = decimal.Context(prec=_DIGITS, rounding=decimal.ROUND_HALF_EVEN)
+
+
+def _exact_factor(p: int, exponents: list[int]) -> Decimal:
+    """The factor for prime p as one exact fraction, divided in the current context."""
+    top = exponents[-1]
+    # Factor = sum over allowed n of p**-n - (p+1) * p**-(2n+2),
+    # cleared to the common denominator p**(2*top+2).
+    powers = [1] * (2 * top + 3)
+    for e in range(1, 2 * top + 3):
+        powers[e] = powers[e - 1] * p
+    num = 0
+    for n in exponents:
+        num += powers[2 * top + 2 - n] - (p + 1) * powers[2 * (top - n)]
+    return Decimal(num) / Decimal(powers[2 * top + 2])
+
+
+def _fixed_weights(exponents: list[int]) -> list[int]:
+    """Weights w_k, each -1, 0 or 1, with factor = sum of w_k * p**-k for every p.
+
+    Uses (p+1) * p**-(2n+2) = p**-(2n+1) + p**-(2n+2) for each allowed n.
+    """
+    weights = [0] * (2 * exponents[-1] + 3)
+    for n in exponents:
+        weights[n] += 1
+        weights[2 * n + 1] -= 1
+        weights[2 * n + 2] -= 1
+    return weights
+
+
+def _round_fixed(total: int, slack: int) -> int | None:
+    """Round a fixed-point factor to _DIGITS places, or None if undecidable.
+
+    The exact factor times _SCALE lies in the open window
+    (total - slack, total + slack).  When no half-even midpoint
+    k*_UNIT + _UNIT/2 lies inside it, every value in the window rounds
+    like total does; otherwise None asks for the exact division.
+    """
+    low, high = total - slack, total + slack
+    if (high - 1 - _HALF_UNIT) // _UNIT > (low - _HALF_UNIT) // _UNIT:
+        return None
+    return (total + _HALF_UNIT) // _UNIT
+
+
+def _fixed_factor(p: int, weights: list[int]) -> Decimal | None:
+    """The factor for an odd prime p other than 5, correctly rounded to _DIGITS places.
+
+    Sums w_k * T_k with T_k = floor(_SCALE / p**k), each exact under
+    repeated floor division by p and 0 from some k on.  Each T_k is
+    short of _SCALE / p**k by less than 1, so the sum is within
+    len(weights) of the exact scaled factor.  Returns None when that
+    window holds a rounding midpoint.  For p = 5 the factor can be a
+    terminating decimal, whose exact quotient carries fewer digits, so
+    that prime must take _exact_factor.
+    """
+    total = 0
+    x = _SCALE
+    for w in weights:
+        if not x:
+            break
+        total += w * x
+        x //= p
+    coefficient = _round_fixed(total, len(weights))
+    if coefficient is None:
+        return None
+    if coefficient not in _COEFFICIENTS:
+        raise AssertionError(f"factor for p={p} rounds to {coefficient}, outside [0.1, 1)")
+    return Decimal(coefficient).scaleb(-_DIGITS, _CONTEXT)
 
 
 def rankin_density(max_prime: int = 10**6, max_exponent: int = 40) -> DensityEstimate:
@@ -244,9 +343,13 @@ def rankin_density(max_prime: int = 10**6, max_exponent: int = 40) -> DensityEst
     The factor for a prime p is the sum, over allowed exponents n, of
     the share of Hurwitz integers whose norm has p-adic valuation
     exactly n, so it matches summing proportion_exact_ppower(p, n) over
-    allowed n.  Factors are evaluated as exact integer fractions and fed
-    into a running 50-digit decimal product in ascending prime order, so
-    the only rounding is one decimal division per prime.  Dropping
+    allowed n.  Each odd-prime factor is summed as an integer at scale
+    10**64, which pins the exact value to a window at most
+    2*max_exponent + 3 units either side, and rounded once to 50
+    decimal places.  Only when that window holds a rounding midpoint,
+    and always for p = 5, is the factor divided out exactly instead.
+    Either way it is the correctly rounded 50-digit value, fed into a
+    running 50-digit decimal product in ascending prime order.  Dropping
     primes above max_prime removes factors below 1, hence the truncated
     value approaches the true density from above as max_prime grows.
 
@@ -262,23 +365,17 @@ def rankin_density(max_prime: int = 10**6, max_exponent: int = 40) -> DensityEst
     if max_exponent < 1:
         raise ValueError(f"max_exponent must be at least 1, got {max_exponent}")
     exponents = _apfree_exponents(max_exponent)
-    top = exponents[-1]
+    weights = _fixed_weights(exponents)
     even = rankin_even_factor(max_exponent)
-    with decimal.localcontext() as ctx:
-        ctx.prec = 50
+    with decimal.localcontext(_CONTEXT):
         product = Decimal(even.numerator) / Decimal(even.denominator)
         for p in _primes_upto(max_prime):
             if p == 2:
                 continue
-            # Factor = sum over allowed n of p**-n - (p+1) * p**-(2n+2),
-            # cleared to the common denominator p**(2*top+2).
-            powers = [1] * (2 * top + 3)
-            for e in range(1, 2 * top + 3):
-                powers[e] = powers[e - 1] * p
-            num = 0
-            for n in exponents:
-                num += powers[2 * top + 2 - n] - (p + 1) * powers[2 * (top - n)]
-            product *= Decimal(num) / Decimal(powers[2 * top + 2])
+            factor = _fixed_factor(p, weights) if p != 5 else None
+            if factor is None:
+                factor = _exact_factor(p, exponents)
+            product *= factor
         value = +product
     return DensityEstimate(
         value=value, truncation=(max_prime, max_exponent), monotone_direction="over"

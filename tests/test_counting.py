@@ -92,6 +92,22 @@ def test_count_upto_matches_per_norm_sum():
     assert count_upto(100) == 99336
 
 
+def count_upto_linear(max_norm):
+    """The cofactor sum of count_upto, one term per m."""
+    return 24 * sum(((max_norm // m + 1) // 2) ** 2 for m in range(1, max_norm + 1))
+
+
+def test_count_upto_matches_linear_sum():
+    assert [count_upto(n) for n in range(3001)] == [
+        count_upto_linear(n) for n in range(3001)
+    ]
+
+
+@given(st.integers(min_value=0, max_value=50_000))
+def test_count_upto_matches_linear_sum_far(n):
+    assert count_upto(n) == count_upto_linear(n)
+
+
 def test_count_upto_asymptotic():
     # leading term is pi^2 M^2
     ratio = count_upto(10_000) / (math.pi**2 * 10_000**2)

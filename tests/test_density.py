@@ -1,5 +1,6 @@
 """Density bounds, annuli verification, and the Rankin Euler product."""
 
+import decimal
 import math
 from decimal import Decimal
 from fractions import Fraction
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gpfree import density
 from gpfree.density import (
     DEFAULT_ANNULI,
     AnnuliSpec,
@@ -43,6 +45,9 @@ def prime_exponents(n):
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
+
+
+WIDENED = AnnuliSpec(interval_ratios=DEFAULT_ANNULI.interval_ratios[:-1] + ((5, 1),))
 
 
 class TestBounds:
@@ -99,14 +104,20 @@ class TestAnnuli:
         assert verify_annuli_gp_free(48 * 48)
 
     def test_widened_spec_fails(self):
-        widened = AnnuliSpec(
-            interval_ratios=DEFAULT_ANNULI.interval_ratios[:-1] + ((5, 1),)
-        )
-        assert not verify_annuli_gp_free(48 * 48, widened)
+        assert not verify_annuli_gp_free(48 * 48, WIDENED)
 
     def test_small_window_rejected(self):
         with pytest.raises(ValueError):
             verify_annuli_gp_free(47)
+
+    @pytest.mark.parametrize("max_norm", [48, 777, 2304, 3000, 10**5])
+    @pytest.mark.parametrize("spec", [DEFAULT_ANNULI, WIDENED], ids=["default", "widened"])
+    def test_mask_matches_contains(self, spec, max_norm):
+        mask = density._kept_mask(max_norm, spec)
+        assert len(mask) == max_norm + 1
+        assert [n for n in range(max_norm + 1) if mask[n]] == [
+            n for n in range(max_norm + 1) if spec.contains(n, max_norm)
+        ]
 
 
 class TestRankinMembership:
@@ -173,3 +184,111 @@ class TestRankinDensity:
     def test_estimate_validation(self):
         with pytest.raises(ValueError):
             DensityEstimate(Decimal("1.5"), (10, 10), "over")
+
+    @pytest.mark.parametrize(
+        "max_prime, max_exponent, expected",
+        [
+            (10**6, 40, "0.77124479312899819810019904425603063267182202839785"),
+            (10**5, 40, "0.77124535958793016172288905047256814409332911843233"),
+            (100, 12, "0.77264809990761195352552279557038005611537630112347"),
+            (2000, 8, "0.77122525831779093901673308748310141826535509214970"),
+            (5, 1, "0.74800000000000000000000000000000000000000000000000"),
+            (5, 40, "0.81193513220506490116810779734105806017618681248847"),
+        ],
+    )
+    def test_pinned_digits(self, max_prime, max_exponent, expected):
+        assert str(rankin_density(max_prime, max_exponent).value) == expected
+
+    @pytest.mark.parametrize("max_prime", [3, 5, 7, 11, 100, 1000])
+    def test_matches_exact_factor_product(self, max_prime):
+        primes = [p for p in range(3, max_prime + 1) if is_prime(p)]
+        for max_exponent in range(1, 41):
+            exponents = density._apfree_exponents(max_exponent)
+            even = rankin_even_factor(max_exponent)
+            with decimal.localcontext() as ctx:
+                ctx.prec = 50
+                product = Decimal(even.numerator) / Decimal(even.denominator)
+                for p in primes:
+                    product *= density._exact_factor(p, exponents)
+                expected = str(+product)
+            assert str(rankin_density(max_prime, max_exponent).value) == expected
+
+
+def is_prime(n):
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def exponent_lists():
+    """The distinct allowed-exponent lists over max_exponent 1..40."""
+    return sorted({tuple(density._apfree_exponents(m)) for m in range(1, 41)})
+
+
+class TestFixedFactor:
+    def assert_matches_exact(self, primes, exponent_lists):
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            for exponents in exponent_lists:
+                weights = density._fixed_weights(list(exponents))
+                for p in primes:
+                    fixed = density._fixed_factor(p, weights)
+                    assert fixed is not None, (p, exponents)
+                    assert str(fixed) == str(density._exact_factor(p, list(exponents)))
+
+    def test_odd_primes_below_ten_thousand_every_exponent(self):
+        primes = [p for p in density._primes_upto(10**4) if p not in (2, 5)]
+        self.assert_matches_exact(primes, exponent_lists())
+
+    def test_odd_primes_below_hundred_thousand(self):
+        primes = [p for p in density._primes_upto(10**5) if p not in (2, 5)]
+        self.assert_matches_exact(primes, [tuple(density._apfree_exponents(40))])
+
+    def test_weights_sum_the_factor(self):
+        exponents = density._apfree_exponents(13)
+        weights = density._fixed_weights(exponents)
+        assert set(weights) <= {-1, 0, 1}
+        p = Fraction(7)
+        assert sum(w / p**k for k, w in enumerate(weights)) == sum(
+            1 / p**n - (p + 1) / p ** (2 * n + 2) for n in exponents
+        )
+
+    def test_prime_five_terminates(self):
+        # 1 - 1/5 - 1/25 + 1/5 - 1/125 - 1/625 is 0.9504 exactly, which the
+        # exact quotient keeps short and the fixed-point form pads to 50 places
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            exact = density._exact_factor(5, [0, 1])
+        fixed = density._fixed_factor(5, density._fixed_weights([0, 1]))
+        assert str(exact) == "0.9504"
+        assert fixed == exact and str(fixed) == "0.95040" + "0" * 45
+
+    @pytest.mark.parametrize("weights", [[1], [0]], ids=["one", "zero"])
+    def test_coefficient_outside_fifty_digits_raises(self, weights):
+        # factors 1 and 0 round to 10**50 and 0, which have no 50-digit form
+        with pytest.raises(AssertionError):
+            density._fixed_factor(3, weights)
+
+
+class TestRoundFixed:
+    unit = density._UNIT
+    half = density._HALF_UNIT
+
+    def test_clear_of_midpoint_rounds_total(self):
+        assert density._round_fixed(7 * self.unit + 3, 5) == 7
+        assert density._round_fixed(7 * self.unit + self.unit - 3, 5) == 8
+
+    def test_straddling_midpoint_falls_back(self):
+        midpoint = 7 * self.unit + self.half
+        for total in (midpoint - 4, midpoint, midpoint + 4):
+            assert density._round_fixed(total, 5) is None
+
+    def test_touching_midpoint_from_below(self):
+        # window (midpoint - 10, midpoint): every value rounds down
+        midpoint = 7 * self.unit + self.half
+        assert density._round_fixed(midpoint - 5, 5) == 7
+        assert density._round_fixed(midpoint - 4, 5) is None
+
+    def test_touching_midpoint_from_above(self):
+        # window (midpoint, midpoint + 10): every value rounds up
+        midpoint = 7 * self.unit + self.half
+        assert density._round_fixed(midpoint + 5, 5) == 8
+        assert density._round_fixed(midpoint + 4, 5) is None
