@@ -7,9 +7,12 @@ exact rationals render as "p/q" strings, and decimal values are printed
 to 12 significant digits, so identical invocations produce identical
 bytes.
 
-Results go to stdout unless --output gives a path; with no --output the
-GPFREE_OUTPUT_DIR environment variable, if set, names a directory that
-receives <subcommand>.<ext> instead.
+Each handler returns (result, status): a JSON-able dict or a text body,
+and the exit status.  run() passes the result to _write, the one writer,
+which renders a dict as sorted-key JSON and writes to stdout, to the
+--output path, or, with no --output and GPFREE_OUTPUT_DIR set, to
+<subcommand>.<ext> in that directory (ext is json for a dict, csv for
+--emit csv, txt otherwise).
 
 Exit status: 0 on success, 1 when a verification subcommand finds a
 failure, 2 for malformed invocations (argparse's convention), rejected
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import decimal
+import io
 import json
 import os
 import sys
@@ -59,11 +63,15 @@ def _sig12(value: Fraction | Decimal) -> str:
         return str(Decimal(value.numerator) / Decimal(value.denominator))
 
 
-def _rat(value: Fraction) -> str:
-    return f"{value.numerator}/{value.denominator}"
+def _exact(value: Fraction) -> dict:
+    return {"decimal": _sig12(value), "rational": f"{value.numerator}/{value.denominator}"}
 
 
-def _write(text: str, args, extension: str) -> None:
+def _write(result: dict | str, args) -> None:
+    if isinstance(result, dict):
+        text, extension = json.dumps(result, sort_keys=True, indent=2) + "\n", "json"
+    else:
+        text, extension = result, "csv" if getattr(args, "emit", None) == "csv" else "txt"
     if args.output:
         Path(args.output).write_text(text)
         return
@@ -77,101 +85,63 @@ def _write(text: str, args, extension: str) -> None:
     sys.stdout.write(text)
 
 
-def _emit_json(payload: dict, args) -> None:
-    _write(json.dumps(payload, sort_keys=True, indent=2) + "\n", args, "json")
-
-
-def _cmd_count(args) -> int:
+def _cmd_count(args) -> tuple[dict | str, int]:
     if args.table is not None:
         table = NormCount.build(args.table)
         if args.emit == "csv":
-            import io
-
             buf = io.StringIO()
             table.write_csv(buf)
-            _write(buf.getvalue(), args, "csv")
-            return 0
+            return buf.getvalue(), 0
         rows = [
             {"norm": n, "count": table.per_norm[n], "cumulative": table.cumulative[n]}
             for n in range(1, args.table + 1)
         ]
-        _emit_json(
-            {"command": "count", "max_norm": args.table, "provenance": "odd-divisor-sieve",
-             "rows": rows},
-            args,
-        )
-        return 0
+        return {"command": "count", "max_norm": args.table, "provenance": "odd-divisor-sieve",
+                "rows": rows}, 0
     if args.upto is not None:
-        _emit_json(
-            {"command": "count", "provenance": "divisor-sum-swap",
-             "total": count_upto(args.upto), "upto": args.upto},
-            args,
-        )
-        return 0
-    _emit_json(
-        {"command": "count", "count": count_norm_exact(args.norm), "norm": args.norm,
-         "provenance": "odd-divisor-formula"},
-        args,
-    )
-    return 0
+        return {"command": "count", "provenance": "divisor-sum-swap",
+                "total": count_upto(args.upto), "upto": args.upto}, 0
+    return {"command": "count", "count": count_norm_exact(args.norm), "norm": args.norm,
+            "provenance": "odd-divisor-formula"}, 0
 
 
-def _cmd_enumerate(args) -> int:
+def _cmd_enumerate(args) -> tuple[dict | str, int]:
     elements = enumerate_norm(args.norm)
     if args.emit == "text":
-        _write("".join(f"{q}\n" for q in elements), args, "txt")
-        return 0
-    _emit_json(
-        {"command": "enumerate", "count": len(elements),
-         "elements": [str(q) for q in elements], "norm": args.norm,
-         "provenance": "doubled-coordinate-lattice-scan"},
-        args,
-    )
-    return 0
+        return "".join(f"{q}\n" for q in elements), 0
+    return {"command": "enumerate", "count": len(elements),
+            "elements": [str(q) for q in elements], "norm": args.norm,
+            "provenance": "doubled-coordinate-lattice-scan"}, 0
 
 
-def _cmd_bounds(args) -> int:
-    lower = lower_bound_density()
-    upper = upper_bound_density(args.terms)
-    _emit_json(
-        {
-            "command": "bounds",
-            "lower": {"decimal": _sig12(lower), "rational": _rat(lower)},
-            "provenance": "annuli-vs-doubling-exclusion",
-            "terms": "inf" if args.terms is None else args.terms,
-            "upper": {"decimal": _sig12(upper), "rational": _rat(upper)},
-        },
-        args,
-    )
-    return 0
+def _cmd_bounds(args) -> tuple[dict | str, int]:
+    return {
+        "command": "bounds",
+        "lower": _exact(lower_bound_density()),
+        "provenance": "annuli-vs-doubling-exclusion",
+        "terms": "inf" if args.terms is None else args.terms,
+        "upper": _exact(upper_bound_density(args.terms)),
+    }, 0
 
 
-def _cmd_rankin(args) -> int:
+def _cmd_rankin(args) -> tuple[dict | str, int]:
     est = rankin_density(args.max_prime, args.max_exponent)
-    _emit_json(
-        {
-            "command": "rankin",
-            "monotone_direction": est.monotone_direction,
-            "provenance": "euler-product-truncation",
-            "truncation": {"max_exponent": est.truncation[1], "max_prime": est.truncation[0]},
-            "value": _sig12(est.value),
-        },
-        args,
-    )
-    return 0
+    return {
+        "command": "rankin",
+        "monotone_direction": est.monotone_direction,
+        "provenance": "euler-product-truncation",
+        "truncation": {"max_exponent": est.truncation[1], "max_prime": est.truncation[0]},
+        "value": _sig12(est.value),
+    }, 0
 
 
-def _cmd_annuli(args) -> int:
+def _cmd_annuli(args) -> tuple[dict | str, int]:
     ok = verify_annuli_gp_free(args.max_norm, DEFAULT_ANNULI)
-    _emit_json(
-        {"command": "annuli-check", "max_norm": args.max_norm,
-         "progression_free": ok, "provenance": "norm-interval-scan"},
-        args,
-    )
-    return 0 if ok else 1
+    return {"command": "annuli-check", "max_norm": args.max_norm,
+            "progression_free": ok, "provenance": "norm-interval-scan"}, 0 if ok else 1
 
 
-def _cmd_greedy_hur(args) -> int:
+def _cmd_greedy_hur(args) -> tuple[dict | str, int]:
     report = build_greedy(args.max_norm)
     if args.emit == "csv":
         lines = ["element,norm,status,witness_a,witness_b,witness_ratio"]
@@ -179,57 +149,46 @@ def _cmd_greedy_hur(args) -> int:
             lines.append(f"{q},{q.norm()},included,,,")
         for q, (a, b, r) in report.excluded:
             lines.append(f"{q},{q.norm()},excluded,{a},{b},{r}")
-        _write("\n".join(lines) + "\n", args, "csv")
-        return 0
+        return "\n".join(lines) + "\n", 0
     per_norm: dict[str, list[str]] = {}
     for q in report.included:
         per_norm.setdefault(str(q.norm()), []).append(str(q))
-    _emit_json(
-        {
-            "command": "greedy-hur",
-            "excluded": [
-                {"element": str(q),
-                 "witness": {"a": str(a), "b": str(b), "ratio": str(r)}}
-                for q, (a, b, r) in report.excluded
-            ],
-            "included_per_norm": per_norm,
-            "included_total": len(report.included),
-            "max_norm": report.max_norm,
-            "provenance": "greedy-by-increasing-norm",
-        },
-        args,
-    )
-    return 0
+    return {
+        "command": "greedy-hur",
+        "excluded": [
+            {"element": str(q),
+             "witness": {"a": str(a), "b": str(b), "ratio": str(r)}}
+            for q, (a, b, r) in report.excluded
+        ],
+        "included_per_norm": per_norm,
+        "included_total": len(report.included),
+        "max_norm": report.max_norm,
+        "provenance": "greedy-by-increasing-norm",
+    }, 0
 
 
-def _cmd_freegroup(args) -> int:
-    if args.subcommand == "greedy":
-        kept = sorted(greedy_words_bruteforce(args.max_len), key=index_of)
-        _emit_json(
-            {
-                "command": "freegroup-greedy",
-                "count": len(kept),
-                "included": [str(w) for w in kept],
-                "max_len": args.max_len,
-                "provenance": "alternating-word-greedy",
-            },
-            args,
-        )
-        return 0
-    if args.subcommand == "density":
-        words = greedy_words_density(args.n)
-        ints = greedy_set_density(args.n)
-        _emit_json(
-            {
-                "command": "freegroup-density",
-                "integers": {"decimal": _sig12(ints), "rational": _rat(ints)},
-                "n": args.n,
-                "provenance": "greedy-share-closed-form",
-                "words": {"decimal": _sig12(words), "rational": _rat(words)},
-            },
-            args,
-        )
-        return 0
+def _cmd_freegroup_greedy(args) -> tuple[dict | str, int]:
+    kept = sorted(greedy_words_bruteforce(args.max_len), key=index_of)
+    return {
+        "command": "freegroup-greedy",
+        "count": len(kept),
+        "included": [str(w) for w in kept],
+        "max_len": args.max_len,
+        "provenance": "alternating-word-greedy",
+    }, 0
+
+
+def _cmd_freegroup_density(args) -> tuple[dict | str, int]:
+    return {
+        "command": "freegroup-density",
+        "integers": _exact(greedy_set_density(args.n)),
+        "n": args.n,
+        "provenance": "greedy-share-closed-form",
+        "words": _exact(greedy_words_density(args.n)),
+    }, 0
+
+
+def _cmd_freegroup_witness(args) -> tuple[dict | str, int]:
     wit = witness_progression(args.n)
     payload = {
         "command": "freegroup-witness",
@@ -237,21 +196,19 @@ def _cmd_freegroup(args) -> int:
         "n": args.n,
         "provenance": "ternary-digit-construction",
         "ternary": ternary(args.n),
+        "witness": None,
     }
-    if wit is None:
-        payload["witness"] = None
-    else:
+    if wit is not None:
         a, b, r = wit
         payload["witness"] = {
             "a": a, "a_ternary": ternary(a),
             "b": b, "b_ternary": ternary(b),
             "ratio": r, "ratio_ternary": ternary(r),
         }
-    _emit_json(payload, args)
-    return 0
+    return payload, 0
 
 
-def _cmd_verify_all(args) -> int:
+def _cmd_verify_all(args) -> tuple[dict | str, int]:
     results = run_checks(quick=args.quick)
     width = max(len(r.name) for r in results)
     lines = [
@@ -260,8 +217,7 @@ def _cmd_verify_all(args) -> int:
     ]
     failed = [r for r in results if not r.ok]
     lines.append(f"{len(results) - len(failed)}/{len(results)} checks passed\n")
-    _write("".join(lines), args, "txt")
-    return 0 if not failed else 1
+    return "".join(lines), 0 if not failed else 1
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -310,13 +266,13 @@ def _build_parser() -> argparse.ArgumentParser:
     fsub = p.add_subparsers(dest="subcommand", required=True)
     fp = fsub.add_parser("greedy", help="greedy word selection up to a length")
     fp.add_argument("--max-len", type=int, default=18)
-    fp.set_defaults(func=_cmd_freegroup)
+    fp.set_defaults(func=_cmd_freegroup_greedy)
     fp = fsub.add_parser("density", help="closed-form greedy densities at scale 3^n")
     fp.add_argument("--n", type=int, default=1)
-    fp.set_defaults(func=_cmd_freegroup)
+    fp.set_defaults(func=_cmd_freegroup_density)
     fp = fsub.add_parser("witness", help="blocking progression for an integer")
     fp.add_argument("--n", type=int, required=True)
-    fp.set_defaults(func=_cmd_freegroup)
+    fp.set_defaults(func=_cmd_freegroup_witness)
 
     p = sub.add_parser("verify-all", help="run the full check registry")
     p.add_argument(
@@ -332,9 +288,11 @@ def run(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        result, status = args.func(args)
+        _write(result, args)
     except (ValueError, OSError) as exc:
         parser.exit(2, f"gpfree: error: {exc}\n")
+    return status
 
 
 def main() -> None:

@@ -96,11 +96,17 @@ def count_upto(max_norm: int) -> int:
 
 
 def _odd_divisor_sums_upto(max_norm: int) -> list[int]:
-    """Sieve of odd divisor sums for 1..max_norm (index 0 unused)."""
+    """Sieve of odd divisor sums for 1..max_norm (index 0 unused).
+
+    Odd divisors are added to odd multiples only; each even n then takes
+    the sum of n // 2, already final, since 2k has the odd divisors of k.
+    """
     sums = [0] * (max_norm + 1)
     for d in range(1, max_norm + 1, 2):
-        for multiple in range(d, max_norm + 1, d):
+        for multiple in range(d, max_norm + 1, 2 * d):
             sums[multiple] += d
+    for n in range(2, max_norm + 1, 2):
+        sums[n] = sums[n // 2]
     return sums
 
 

@@ -6,10 +6,11 @@ power-of-two upper bound, and the Euler product giving the density of
 Hurwitz integers whose norm is a Rankin integer, meaning every prime
 exponent of the norm avoids the digit 2 in base 3.  Bounds are exact
 rationals.  The Euler product is accumulated in 50-digit decimal
-arithmetic; each odd-prime factor is first summed in fixed point with
-14 guard digits and rounded once, and is divided out exactly only in
-the rare case where the fixed-point error window holds a rounding
-midpoint, so every factor is the correctly rounded 50-digit value.
+arithmetic; each odd-prime factor, p = 5 included, is first summed in
+fixed point with 14 guard digits and rounded once, and is divided out
+exactly only in the rare case where the fixed-point error window holds
+a rounding midpoint, so every factor is the correctly rounded 50-digit
+value.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import decimal
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from typing import Literal
@@ -46,8 +47,9 @@ class AnnuliSpec:
 
     Around each scale M the construction keeps the norms in the
     intervals (M/lo, M/hi] for the listed (lo, hi) ratio pairs.  Scales
-    grow as M' = scale_factor * M * M starting from 1, fast enough that
-    blocks at different scales can never interact.
+    grow as M' = w * w * M * M starting from 1, where w is the widest
+    ratio lo, fast enough that blocks at different scales can never
+    interact.
     """
 
     interval_ratios: tuple[tuple[int, int], ...] = (
@@ -58,7 +60,6 @@ class AnnuliSpec:
         (9, 8),
         (4, 1),
     )
-    scale_factor: int = field(default=48 * 48)
 
     def scales_upto(self, max_norm: int):
         """Yield block scales M whose annuli can meet [1, max_norm]."""
@@ -66,7 +67,7 @@ class AnnuliSpec:
         m = 1
         while m < widest * max_norm:
             yield m
-            m = self.scale_factor * m * m
+            m = widest * widest * m * m
 
     def contains(self, n: int, max_norm: int) -> bool:
         """Whether norm n belongs to some annulus with scale visible below max_norm.
@@ -312,15 +313,15 @@ def _round_fixed(total: int, slack: int) -> int | None:
 
 
 def _fixed_factor(p: int, weights: list[int]) -> Decimal | None:
-    """The factor for an odd prime p other than 5, correctly rounded to _DIGITS places.
+    """The factor for an odd prime p, correctly rounded to _DIGITS places.
 
     Sums w_k * T_k with T_k = floor(_SCALE / p**k), each exact under
     repeated floor division by p and 0 from some k on.  Each T_k is
     short of _SCALE / p**k by less than 1, so the sum is within
     len(weights) of the exact scaled factor.  Returns None when that
     window holds a rounding midpoint.  For p = 5 the factor can be a
-    terminating decimal, whose exact quotient carries fewer digits, so
-    that prime must take _exact_factor.
+    terminating decimal such as 0.9504; the result is then that value
+    padded with trailing zeros, equal to the exact quotient.
     """
     total = 0
     x = _SCALE
@@ -346,8 +347,8 @@ def rankin_density(max_prime: int = 10**6, max_exponent: int = 40) -> DensityEst
     allowed n.  Each odd-prime factor is summed as an integer at scale
     10**64, which pins the exact value to a window at most
     2*max_exponent + 3 units either side, and rounded once to 50
-    decimal places.  Only when that window holds a rounding midpoint,
-    and always for p = 5, is the factor divided out exactly instead.
+    decimal places.  Only when that window holds a rounding midpoint is
+    the factor divided out exactly instead.
     Either way it is the correctly rounded 50-digit value, fed into a
     running 50-digit decimal product in ascending prime order.  Dropping
     primes above max_prime removes factors below 1, hence the truncated
@@ -372,7 +373,7 @@ def rankin_density(max_prime: int = 10**6, max_exponent: int = 40) -> DensityEst
         for p in _primes_upto(max_prime):
             if p == 2:
                 continue
-            factor = _fixed_factor(p, weights) if p != 5 else None
+            factor = _fixed_factor(p, weights)
             if factor is None:
                 factor = _exact_factor(p, exponents)
             product *= factor

@@ -193,6 +193,21 @@ class TestOutputTargets:
         written = tmp_path / "freegroup-density.json"
         assert json.loads(written.read_text())["integers"]["rational"] == "2/3"
 
+    # A text body takes its extension from --emit: csv, else txt.
+    @pytest.mark.parametrize("argv, name", [
+        ("count --table 3 --emit csv", "count.csv"),
+        ("enumerate --norm 1 --emit text", "enumerate.txt"),
+        ("greedy-hur --max-norm 4 --emit csv", "greedy-hur.csv"),
+    ])
+    def test_output_dir_text_extension(self, argv, name, tmp_path, capsys, monkeypatch):
+        code, expected = invoke(capsys, *argv.split())
+        assert code == 0
+        monkeypatch.setenv("GPFREE_OUTPUT_DIR", str(tmp_path))
+        code, out = invoke(capsys, *argv.split())
+        assert code == 0 and out == ""
+        assert [p.name for p in tmp_path.iterdir()] == [name]
+        assert (tmp_path / name).read_text() == expected
+
     FAKE_CHECKS = [CheckResult("alpha", True, "fine", 0.01),
                    CheckResult("beta", False, "broke", 0.02)]
     FAKE_REPORT = "PASS alpha (  0.01s) fine\nFAIL beta  (  0.02s) broke\n1/2 checks passed\n"
@@ -234,6 +249,40 @@ class TestVerifyAll:
         code, out = invoke(capsys, "verify-all")
         assert code == 0
         assert out.strip().split("\n")[-1] == "1/1 checks passed"
+
+
+class TestPinnedBytes:
+    # Output bytes of every subcommand, recorded before the handlers
+    # returned their results to one writer; a moved hash means moved output.
+    @pytest.mark.parametrize("argv, sha256", [
+        ("count --norm 7", "b5c56a55cc38a3ae49fb54c266b12d9557e2c782c7b2b353a0b578db5481143d"),
+        ("count --upto 100", "8e866d13a6f89ffdab100ba6849da1968ecbd9941416655e3dddc56b04502a3f"),
+        ("count --table 50", "19ddaf67f03de98e3b29afbeee86ef5c8c79270415d8bed683c8a942d125673e"),
+        ("count --table 50 --emit csv",
+         "071d527b687818ed1aef0b07b572a446268e8bb111e77840d7f5d2b3fe2267f6"),
+        ("enumerate --norm 10", "8b98976f1e0bccf69eddeeaf43559d698d6c1d6823171ad19d1741efc3c2120e"),
+        ("enumerate --norm 10 --emit text",
+         "e663ef4d34e5516451c583a0dadc40ffc27c0f3871867ffe68ad95de8835292f"),
+        ("bounds", "48084f6828b34179add35f470959a446b74c7ea3eaa869b17ce73b49e4ecbad6"),
+        ("bounds --terms 3", "59c7b04e64481e601e518add7c7cfbec8ff8ed594f55591dc5a8957adfda7b38"),
+        ("rankin --max-prime 100 --max-exponent 12",
+         "4aef316ed332f810cbb2d1903449cc8ba6ebc98bfd4a4cf2602966da0fe7152a"),
+        ("annuli-check", "4800b62f13b78583ca2db6f2c98c21d941fffd75ee9f8f6dd1b7ecc2c33b31fd"),
+        ("greedy-hur --max-norm 20",
+         "c82acabeb3beff2abf540e061a4e96b1e950895c54b2e8762e9d5729944bc80b"),
+        ("greedy-hur --max-norm 20 --emit csv",
+         "9bf3c9109febe56d619b1626156d340c90831df361ea20037c2a287d10bc002e"),
+        ("freegroup greedy", "21a0f63c8ce8a9b87975d831fed086ded1b114337f5605ee072815be02ec5cda"),
+        ("freegroup density", "1d235c89792ecd341ae2e1c18d824ced313b6a0c1e7683211a08403e6e346349"),
+        ("freegroup witness --n 95",
+         "0952eb914f6d64054887bc886320e1cf986362789bd14a4a7689064a8e786033"),
+        ("freegroup witness --n -6",
+         "a2503d205e34c7069e64c1a9cc4d1a3cd2a515f2805183d744736c18d08ecf8c"),
+    ])
+    def test_deterministic_bytes(self, argv, sha256, capsys):
+        code, out = invoke(capsys, *argv.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
 class TestParsing:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gpfree import counting
 from gpfree.counting import (
     NormCount,
     count_norm_exact,
@@ -32,6 +33,12 @@ def test_odd_divisor_sum_frozen():
 @given(st.integers(min_value=1, max_value=4000))
 def test_odd_divisor_sum_reference(n):
     assert odd_divisor_sum(n) == sigma_odd_reference(n)
+
+
+def test_odd_divisor_sieve_matches_formula():
+    sums = counting._odd_divisor_sums_upto(5000)
+    assert len(sums) == 5001
+    assert sums[1:] == [odd_divisor_sum(n) for n in range(1, 5001)]
 
 
 def is_prime_by_trial_division(p):

@@ -242,6 +242,16 @@ class TestFixedFactor:
         primes = [p for p in density._primes_upto(10**5) if p not in (2, 5)]
         self.assert_matches_exact(primes, [tuple(density._apfree_exponents(40))])
 
+    def test_prime_five_every_exponent(self):
+        # 5's factor is a terminating decimal, so the fixed-point form may
+        # carry trailing zeros the exact quotient drops: compare by value
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            for exponents in exponent_lists():
+                fixed = density._fixed_factor(5, density._fixed_weights(list(exponents)))
+                assert fixed is not None, exponents
+                assert fixed == density._exact_factor(5, list(exponents)), exponents
+
     def test_weights_sum_the_factor(self):
         exponents = density._apfree_exponents(13)
         weights = density._fixed_weights(exponents)
