@@ -14,6 +14,9 @@ which renders a dict as sorted-key JSON and writes to stdout, to the
 <subcommand>.<ext> in that directory (ext is json for a dict, csv for
 --emit csv, txt otherwise).
 
+The argument parser is built once per process and reused by every
+run() call; parsing keeps no state in it between calls.
+
 Exit status: 0 on success, 1 when a verification subcommand finds a
 failure, 2 for malformed invocations (argparse's convention), rejected
 arguments and unwritable output paths, with a one-line message on stderr.
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import decimal
+import functools
 import io
 import json
 import os
@@ -220,6 +224,7 @@ def _cmd_verify_all(args) -> tuple[dict | str, int]:
     return "".join(lines), 0 if not failed else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gpfree",

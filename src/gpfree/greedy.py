@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 
 from .counting import count_norm_exact
-from .quaternion import HurwitzInt, _mul, enumerate_norm, units
+from .quaternion import HurwitzInt, _left_quotient, _mul, _norm_coords, enumerate_norm
 
 __all__ = [
     "GreedyReport",
@@ -106,7 +106,8 @@ def is_unit_square_representable(q: HurwitzInt) -> tuple[HurwitzInt, HurwitzInt]
     """Search for a unit u and element r with q == u * r * r.
 
     The norm of q must be a perfect square m * m; candidate r then runs
-    over the norm-m class and u over the 24 units.
+    over the norm-m class in enumeration order, and for each r one exact
+    division solves u * r * r == q, as conj(r * r) * conj(u) == conj(q).
 
     Args:
         q: nonzero element whose norm is a perfect square.
@@ -124,11 +125,15 @@ def is_unit_square_representable(q: HurwitzInt) -> tuple[HurwitzInt, HurwitzInt]
     m = math.isqrt(n)
     if m * m != n:
         raise ValueError(f"norm {n} is not a perfect square")
-    for r in enumerate_norm(m):
-        rr = r * r
-        for u in units():
-            if u * rr == q:
-                return (u, r)
+    a, b, c, d = q.coords
+    conj_q = (a, -b, -c, -d)
+    for r in _norm_coords(m):
+        a, b, c, d = _mul(r, r)
+        # Any quotient has norm n / (m * m) = 1, so it is a unit.
+        conj_u = _left_quotient((a, -b, -c, -d), conj_q)
+        if conj_u is not None:
+            a, b, c, d = conj_u
+            return (HurwitzInt(a, -b, -c, -d), HurwitzInt(*r))
     return None
 
 

@@ -12,7 +12,9 @@ Nothing here touches floating point.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import starmap
 
 from .counting import is_rational_prime
 
@@ -33,7 +35,7 @@ def _mul(p: tuple[int, int, int, int], q: tuple[int, int, int, int]) -> tuple[in
     """Product of two elements given as doubled-coordinate tuples.
 
     The one Hamilton product in the package: ``HurwitzInt.__mul__`` wraps
-    it, and ``greedy`` calls it directly on tuples in its inner loop.
+    it, and ``_left_quotient`` and ``greedy`` call it directly on tuples.
     """
     a1, b1, c1, d1 = p
     a2, b2, c2, d2 = q
@@ -117,13 +119,14 @@ ONE = HurwitzInt.from_integers(1, 0, 0, 0)
 ZERO = HurwitzInt.from_integers(0, 0, 0, 0)
 
 
-# Two-square decomposition table drives norm-class enumeration.  For a
-# target doubled-norm 4N we split 4N = m1 + m2 and glue a pair with
-# u^2 + v^2 = m1 onto a pair with s^2 + t^2 = m2.  Only same-parity
+# Two-square table behind the norm-class scan.  A quadruple of doubled
+# norm 4N is a same-parity pair (da, db) with m1 = da^2 + db^2 followed
+# by a stored pair (dc, dd) with dc^2 + dd^2 = 4N - m1.  Only same-parity
 # pairs are stored: both even sum to 0 mod 4 and both odd to 2 mod 4,
 # so one table serves both kinds without sharing an index.  As 4N is
-# 0 mod 4, m1 and m2 = 4N - m1 always fall in the same residue class,
-# which makes every glued quadruple share one parity for free.
+# 0 mod 4, m1 and 4N - m1 always fall in the same residue class, which
+# makes every glued quadruple share one parity for free.  Each row is
+# filled u-major with v ascending, so it is in lexicographic order.
 _pairs: list[list[tuple[int, int]]] = [[]]
 
 
@@ -147,6 +150,25 @@ def _extend_pair_table(limit: int) -> None:
     _pairs[:] = pairs
 
 
+def _norm_coords(norm: int) -> Iterator[tuple[int, int, int, int]]:
+    """Doubled coordinates of the norm class, lazily, in lexicographic order.
+
+    The one norm-class scan: (da, db) runs lexicographically over
+    same-parity pairs, and each is followed by its row of (dc, dd) from
+    ``_pairs``, which is already sorted, so a caller may stop early.
+    """
+    target = 4 * norm
+    _extend_pair_table(target)
+    top = math.isqrt(target)
+    for da in range(-top, top + 1):
+        rest = target - da * da
+        lim = math.isqrt(rest)
+        # db runs over the values of da's parity in [-lim, lim].
+        for db in range(-lim + ((lim ^ da) & 1), lim + 1, 2):
+            for dc, dd in _pairs[rest - db * db]:
+                yield (da, db, dc, dd)
+
+
 def enumerate_norm(norm: int) -> list[HurwitzInt]:
     """All Hurwitz integers of the given reduced norm, sorted by coords.
 
@@ -162,16 +184,7 @@ def enumerate_norm(norm: int) -> list[HurwitzInt]:
     """
     if norm < 1:
         raise ValueError(f"norm must be positive, got {norm}")
-    target = 4 * norm
-    _extend_pair_table(target)
-    coords = []
-    for m1 in range(0, target + 1, 2):
-        tail = _pairs[target - m1]
-        for da, db in _pairs[m1]:
-            for dc, dd in tail:
-                coords.append((da, db, dc, dd))
-    coords.sort()
-    return [HurwitzInt(*c) for c in coords]
+    return list(starmap(HurwitzInt, _norm_coords(norm)))
 
 
 _UNITS = tuple(enumerate_norm(1))
@@ -186,11 +199,34 @@ def units() -> tuple[HurwitzInt, ...]:
     return _UNITS
 
 
+def _left_quotient(a: tuple[int, int, int, int],
+                   b: tuple[int, int, int, int]) -> tuple[int, int, int, int] | None:
+    """Doubled coordinates of the r with a * r == b, or None if there is none.
+
+    The one exact division in the package, on doubled-coordinate tuples:
+    ``left_divide`` wraps it, and ``factor_modelled`` and ``greedy`` call
+    it directly.  Over the rational quaternions r = conj(a) * b / norm(a)
+    is the only candidate, so divisibility reduces to an integrality
+    test on it.
+
+    Raises:
+        ZeroDivisionError: if a is zero.
+    """
+    a1, b1, c1, d1 = a
+    n = (a1 * a1 + b1 * b1 + c1 * c1 + d1 * d1) // 4
+    if n == 0:
+        raise ZeroDivisionError("left division by zero quaternion")
+    da, db, dc, dd = _mul((a1, -b1, -c1, -d1), b)
+    if da % n or db % n or dc % n or dd % n:
+        return None
+    da, db, dc, dd = da // n, db // n, dc // n, dd // n
+    if (da ^ db) & 1 or (da ^ dc) & 1 or (da ^ dd) & 1:
+        return None
+    return (da, db, dc, dd)
+
+
 def left_divide(a: HurwitzInt, b: HurwitzInt) -> HurwitzInt | None:
     """Exact left quotient: the r with a * r == b, if one exists.
-
-    Over the rational quaternions r = conj(a) * b / norm(a) is the only
-    candidate, so divisibility reduces to an integrality test on it.
 
     Args:
         a: left divisor, must be nonzero.
@@ -203,17 +239,8 @@ def left_divide(a: HurwitzInt, b: HurwitzInt) -> HurwitzInt | None:
     Raises:
         ZeroDivisionError: if a is zero.
     """
-    n = a.norm()
-    if n == 0:
-        raise ZeroDivisionError("left division by zero quaternion")
-    prod = a.conjugate() * b
-    da, db, dc, dd = prod.coords
-    if da % n or db % n or dc % n or dd % n:
-        return None
-    da, db, dc, dd = da // n, db // n, dc // n, dd // n
-    if (da ^ db) & 1 or (da ^ dc) & 1 or (da ^ dd) & 1:
-        return None
-    return HurwitzInt(da, db, dc, dd)
+    quot = _left_quotient(a.coords, b.coords)
+    return None if quot is None else HurwitzInt(*quot)
 
 
 def is_prime(q: HurwitzInt) -> bool:
@@ -243,10 +270,11 @@ def factor_modelled(q: HurwitzInt, prime_norms) -> ModelledFactorization:
     """Factor q into primes whose norms follow the given ordered model.
 
     Works by successive extraction: for each modelled norm p, scan the
-    norm-p class in lexicographic order and take the first element that
-    left divides what remains.  Such an element always exists when the
-    model multiplies to norm(q).  The unit left over at the end is
-    absorbed into the last factor, which keeps its norm.
+    norm-p class lazily in lexicographic order and take the first element
+    that left divides what remains; the rest of the class is never built.
+    Such an element always exists when the model multiplies to norm(q).
+    The unit left over at the end is absorbed into the last factor, which
+    keeps its norm.
 
     Args:
         q: nonzero element to factor.
@@ -274,16 +302,17 @@ def factor_modelled(q: HurwitzInt, prime_norms) -> ModelledFactorization:
             return ModelledFactorization((), ())
         raise ValueError("empty model only factors the identity")
     factors = []
-    rest = q
+    rest = q.coords
     for p in model:
-        for cand in enumerate_norm(p):
-            quot = left_divide(cand, rest)
+        for cand in _norm_coords(p):
+            quot = _left_quotient(cand, rest)
             if quot is not None:
-                factors.append(cand)
+                factors.append(HurwitzInt(*cand))
                 rest = quot
                 break
         else:
             raise AssertionError(f"no norm-{p} left factor of {rest}; model {model}")
+    rest = HurwitzInt(*rest)
     if not rest.is_unit():
         raise AssertionError(f"factors of {q} leave the non-unit {rest}; model {model}")
     factors[-1] = factors[-1] * rest

@@ -323,3 +323,40 @@ class TestParsing:
         with pytest.raises(SystemExit) as exc:
             run(["no-such-thing"])
         assert exc.value.code == 2
+
+
+class TestParserReuse:
+    # run() reuses one parser per process; no call may see another's state.
+    def test_output_flag_does_not_stick(self, tmp_path, capsys):
+        target = tmp_path / "x.json"
+        assert run(["--output", str(target), "count", "--norm", "3"]) == 0
+        code, payload = invoke_json(capsys, "count", "--norm", "5")
+        assert code == 0 and payload["norm"] == 5
+        assert json.loads(target.read_text())["norm"] == 3
+
+    def test_emit_does_not_stick(self, capsys):
+        code, out = invoke(capsys, "count", "--table", "5", "--emit", "csv")
+        assert code == 0 and out.startswith("norm,count,cumulative\n")
+        code, payload = invoke_json(capsys, "count", "--table", "5")
+        assert code == 0 and payload["max_norm"] == 5
+
+    def test_usage_error_then_valid_call(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["count", "--norm", "3", "--upto", "5"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        code, out = invoke(capsys, "count", "--norm", "7")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "b5c56a55cc38a3ae49fb54c266b12d9557e2c782c7b2b353a0b578db5481143d"
+        )
+
+    def test_help_twice(self, capsys):
+        texts = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                run(["--help"])
+            assert exc.value.code == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1]
+        assert texts[0].startswith("usage: gpfree ")

@@ -62,6 +62,22 @@ def backward_greedy(max_norm, rng=None):
     return tuple(included), tuple(excluded)
 
 
+def unit_scan_squares(m):
+    """Slow oracle: the 24-unit scan over every norm-m ratio, tabulated.
+
+    Runs r over the norm-m class and u over the 24 units in the order the
+    scan tried them and keeps, for each product u * r * r, the first
+    (u, r) that gave it: what the scan returns for that element.  Every
+    element of norm m * m missing from the table has no representation.
+    """
+    first = {}
+    for r in enumerate_norm(m):
+        rr = r * r
+        for u in units():
+            first.setdefault((u * rr).coords, (u, r))
+    return first
+
+
 class TestBuildGreedy:
     def test_partition_and_counts(self):
         report = build_greedy(20)
@@ -154,6 +170,23 @@ class TestUnitSquare:
         q = HurwitzInt.from_integers(1, 2, 0, 2)
         u, r = is_unit_square_representable(q * q)
         assert u * (r * r) == q * q
+
+
+    @pytest.mark.parametrize("m", range(1, 11))
+    def test_matches_unit_scan(self, m):
+        oracle = unit_scan_squares(m)
+        for q in enumerate_norm(m * m):
+            assert is_unit_square_representable(q) == oracle.get(q.coords)
+
+    def test_matches_unit_scan_on_checked_elements(self):
+        # The seven-axis elements and 2i of the unit-square check.
+        sevens, twos = unit_scan_squares(7), unit_scan_squares(2)
+        for coords in ((7, 0, 0, 0), (0, 7, 0, 0), (0, 0, 7, 0), (0, 0, 0, 7)):
+            for q in (HurwitzInt.from_integers(*coords), -HurwitzInt.from_integers(*coords)):
+                assert is_unit_square_representable(q) is None
+                assert q.coords not in sevens
+        two_i = HurwitzInt.from_integers(0, 2, 0, 0)
+        assert is_unit_square_representable(two_i) == twos[two_i.coords]
 
 
 class TestSquareNormGap:

@@ -5,17 +5,21 @@ lattice scan written here from scratch, so the two counting paths share
 no code.
 """
 
+import functools
+import itertools
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gpfree.counting import factorize
 from gpfree.quaternion import (
     ONE,
     ZERO,
     HurwitzInt,
     ModelledFactorization,
+    _norm_coords,
     enumerate_norm,
     factor_modelled,
     is_gp_triple,
@@ -43,6 +47,36 @@ def brute_force_norm_class(n):
                     if len({da & 1, db & 1, dc & 1, cand & 1}) == 1:
                         found.append(HurwitzInt(da, db, dc, cand))
     return found
+
+
+@functools.cache
+def _norm_class(p):
+    return tuple(enumerate_norm(p))
+
+
+def full_class_factors(q, model):
+    """Slow oracle: factor_modelled's factors as the full-class scan found them.
+
+    For each modelled norm p it builds the whole norm-p class and takes
+    the first element that left divides what remains, then absorbs the
+    leftover unit into the last factor.
+    """
+    factors, rest = [], q
+    for p in model:
+        for cand in _norm_class(p):
+            quot = left_divide(cand, rest)
+            if quot is not None:
+                factors.append(cand)
+                rest = quot
+                break
+        else:
+            raise AssertionError(f"no norm-{p} left factor of {rest}")
+    factors[-1] = factors[-1] * rest
+    return tuple(factors)
+
+
+def prime_model(n):
+    return [p for p, e in factorize(n) for _ in range(e)]
 
 
 def quaternions(max_half=12):
@@ -142,6 +176,22 @@ class TestEnumeration:
         assert str(enumerate_norm(5)[0]) == "(-4,-2,0,0)/2"
         assert len(enumerate_norm(5)) == 144
 
+    def test_lazy_scan_prefixes(self):
+        # A caller that stops early sees exactly the head of the sorted class.
+        for n in range(1, 301):
+            coords = [q.coords for q in enumerate_norm(n)]
+            for k in {0, 1, 2, 7, len(coords) // 3, len(coords) - 1}:
+                assert list(itertools.islice(_norm_coords(n), k)) == coords[:k]
+
+    def test_lazy_scan_survives_table_growth(self):
+        # The pair table is rebuilt in place when a larger norm needs it; a
+        # scan already under way must still yield the same sequence.
+        expected = [q.coords for q in enumerate_norm(299)]
+        scan = _norm_coords(299)
+        head = list(itertools.islice(scan, 100))
+        assert len(enumerate_norm(4099)) == 24 * 4100
+        assert head + list(scan) == expected
+
     def test_large_class_spot(self):
         # growable pair tables must survive a jump past their initial size
         assert len(enumerate_norm(2048)) == 24
@@ -205,8 +255,6 @@ class TestFactorization:
         assert f.product() == ONE
 
     def test_every_ordering_small_norms(self):
-        import itertools
-
         for n in range(2, 25):
             primes = []
             m = n
@@ -221,6 +269,7 @@ class TestFactorization:
                     f = factor_modelled(q, model)
                     assert f.product() == q
                     assert tuple(x.norm() for x in f.factors) == model
+                    assert f.factors == full_class_factors(q, model)
 
     def test_stride_sample_larger_norms(self):
         for n in range(25, 100, 7):
@@ -238,6 +287,32 @@ class TestFactorization:
             for q in (cls[0], cls[len(cls) // 2], cls[-1]):
                 f = factor_modelled(q, tuple(primes))
                 assert f.product() == q
+                assert f.factors == full_class_factors(q, tuple(primes))
+
+    @given(quaternions(35).filter(lambda q: 2 <= q.norm() <= 5000),
+           st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_full_class_scan(self, q, rnd):
+        model = prime_model(q.norm())
+        rnd.shuffle(model)
+        assert factor_modelled(q, model).factors == full_class_factors(q, model)
+
+    @pytest.mark.parametrize("coords, primes", [
+        ((2, 4, 6, 8), (2, 3, 5)),  # 1 + 2i + 3j + 4k, the known model
+        ((6, 6, 0, 0), (2, 3, 3)),  # 3(1 + i): divisible by the rational prime 3
+        ((0, 0, 10, 10), (2, 5, 5)),  # 5(j + k)
+        ((6, 6, 6, 6), (3, 3, 2, 2)),  # 3(1 + i + j + k)
+        ((14, 0, 0, 0), (7, 7)),  # 7
+        ((4, 0, 0, 0), (2, 2)),  # 2, a square of the ramified prime
+        ((8, 8, 0, 0), (2, 2, 2, 2, 2)),  # 4(1 + i)
+        ((3, 5, 7, 9), (41,)),  # a half-integer prime
+        ((5, 1, 3, 7), (3, 7)),  # half-integer with two distinct primes
+    ])
+    def test_matches_full_class_scan_every_ordering(self, coords, primes):
+        q = HurwitzInt(*coords)
+        assert math.prod(primes) == q.norm()
+        for model in set(itertools.permutations(primes)):
+            assert factor_modelled(q, model).factors == full_class_factors(q, model)
 
     def test_rejects_bad_model(self):
         q = HurwitzInt.from_integers(1, 2, 3, 4)
