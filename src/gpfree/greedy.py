@@ -58,6 +58,26 @@ def build_greedy(max_norm: int, rng: random.Random | None = None) -> GreedyRepor
     is closed under negation, so -b = a * (-r) is kept exactly when b
     is, and of r and -r only the one enumerated first is scanned.
 
+    The scan runs on integer keys.  For four integers x, key(x) =
+    x_0 + x_1 * B + x_2 * B**2 + x_3 * B**3, where B is the least power
+    of two with B * B > 64 * max_norm, so B > 8 * sqrt(max_norm).  An
+    element c is looked up by key(2c), the key of twice its doubled
+    coordinates.  A doubled coordinate of a norm-N element is at most
+    2 * sqrt(N) in size, so every digit of 2c lies strictly inside
+    (-B/2, B/2), where the balanced base-B key is injective.  Right
+    multiplication is linear: with the column keys P_j = key(2e_j * r)
+    and Q_j = key(2e_j * r * r), for 2e_j the doubled j-th unit vector,
+    key(2(a * r)) = sum(a_j * P_j) and key(2(a * r * r)) = sum(a_j * Q_j)
+    over the doubled coordinates a_j of a: four integer products each,
+    with no ``_mul`` and no tuple built.  Witnesses are keyed by key(2c),
+    and a and b in a witness are the kept elements themselves.
+
+    Only what a later shell asks for is stored: kept elements by key up
+    to norm max_norm / 2, since b has norm N / t, and kept first terms
+    with their coordinates up to norm max_norm / 4, since a has norm
+    N / t**2.  A shell no progression reaches, such as every squarefree
+    one, is kept whole with no lookup per candidate.
+
     Args:
         max_norm: largest norm processed, at least 1.
         rng: optional shuffler for the within-norm candidate order.
@@ -67,39 +87,68 @@ def build_greedy(max_norm: int, rng: random.Random | None = None) -> GreedyRepor
     """
     if max_norm < 1:
         raise ValueError(f"max_norm must be positive, got {max_norm}")
-    included, excluded, kept = [], [], set()
-    kept_by_norm: dict[int, list[tuple[int, int, int, int]]] = {}
-    ratio_classes: dict[int, list[HurwitzInt]] = {}
+    base = 1 << (((64 * max_norm).bit_length() + 1) // 2)
+    # key(2c) is the sum of c's doubled coordinates times k0..k3.
+    k0, k1, k2, k3 = 2, 2 * base, 2 * base ** 2, 2 * base ** 3
+    half, quarter = max_norm // 2, max_norm // 4
+    included, excluded = [], []
+    kept: dict[int, HurwitzInt] = {}
+    firsts_by_norm: dict[int, list[tuple[int, int, int, int, HurwitzInt]]] = {}
+    ratio_columns: dict[int, list[tuple]] = {}
     for n in range(1, max_norm + 1):
         candidates = enumerate_norm(n)
         if rng is not None:
-            candidates = list(candidates)
             rng.shuffle(candidates)
         witnesses = {}
         for t in range(2, math.isqrt(n) + 1):
             if n % (t * t):
                 continue
-            if t not in ratio_classes:
-                ratio_classes[t] = [r for r in enumerate_norm(t) if r.coords < (-r).coords]
-            firsts = kept_by_norm[n // (t * t)]
-            for r in ratio_classes[t]:
-                rc = r.coords
-                for a in firsts:
-                    b = _mul(a, rc)
-                    if b in kept:
-                        witnesses.setdefault(_mul(b, rc), (a, b, r))
-        shell = kept_by_norm[n] = []
-        for c in candidates:
-            cc = c.coords
-            witness = witnesses.get(cc)
-            if witness is None:
-                included.append(c)
-                shell.append(cc)
-            else:
-                a, b, r = witness
-                excluded.append((c, (HurwitzInt(*a), HurwitzInt(*b), r)))
-        kept.update(shell)
+            if t not in ratio_columns:
+                ratio_columns[t] = [_columns(r, base)
+                                    for r in enumerate_norm(t) if r.coords < (-r).coords]
+            firsts = firsts_by_norm[n // (t * t)]
+            for r, p0, p1, p2, p3, q0, q1, q2, q3 in ratio_columns[t]:
+                for a0, a1, a2, a3, a in firsts:
+                    # Most c are reached by several (a, r), so the witness
+                    # test comes first and a repeat skips the lookup of b.
+                    key = a0 * q0 + a1 * q1 + a2 * q2 + a3 * q3
+                    if key not in witnesses:
+                        b = kept.get(a0 * p0 + a1 * p1 + a2 * p2 + a3 * p3)
+                        if b is not None:
+                            witnesses[key] = (a, b, r)
+        if not witnesses:
+            included.extend(candidates)
+            shell = candidates
+        else:
+            shell = []
+            for c in candidates:
+                witness = witnesses.get(c.da * k0 + c.db * k1 + c.dc * k2 + c.dd * k3)
+                if witness is None:
+                    included.append(c)
+                    shell.append(c)
+                else:
+                    excluded.append((c, witness))
+        if n <= half:
+            kept.update({c.da * k0 + c.db * k1 + c.dc * k2 + c.dd * k3: c for c in shell})
+        if n <= quarter:
+            firsts_by_norm[n] = [(c.da, c.db, c.dc, c.dd, c) for c in shell]
     return GreedyReport(max_norm, tuple(included), tuple(excluded))
+
+
+def _columns(r: HurwitzInt, base: int) -> tuple:
+    """r followed by its column keys P_0..P_3, Q_0..Q_3 (see build_greedy).
+
+    Each 2e_j is a valid doubled-coordinate tuple, so ``_mul`` gives the
+    columns 2e_j * r and 2e_j * r * r exactly.
+    """
+    rc = r.coords
+    rr = _mul(rc, rc)
+    keys = []
+    for factor in (rc, rr):
+        for e in ((2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2)):
+            x0, x1, x2, x3 = _mul(e, factor)
+            keys.append(x0 + base * (x1 + base * (x2 + base * x3)))
+    return (r, *keys)
 
 
 def is_unit_square_representable(q: HurwitzInt) -> tuple[HurwitzInt, HurwitzInt] | None:

@@ -137,13 +137,15 @@ class TestGreedyHur:
         assert len(rows) == 168
 
     # Output bytes of the greedy at norm 49 as the backward-search builder
-    # wrote them; a moved hash means a moved witness.
-    @pytest.mark.parametrize("emit, sha256", [
-        ("csv", "8631dc7e1c2f8a420ae0833dcf2703dfc980cfc539b0cd752bb70718d0f2296b"),
-        ("json", "fd1a599fd817e2d4e0041ef0b10102d7a5d911e5abe0c9f238ed5f1a393dc3a4"),
-    ], ids=["csv", "json"])
-    def test_pinned_bytes(self, emit, sha256, capsys):
-        code, out = invoke(capsys, "greedy-hur", "--max-norm", "49", "--emit", emit)
+    # wrote them, and at norm 100 as the tuple forward scan wrote them; a
+    # moved hash means a moved witness.
+    @pytest.mark.parametrize("max_norm, emit, sha256", [
+        ("49", "csv", "8631dc7e1c2f8a420ae0833dcf2703dfc980cfc539b0cd752bb70718d0f2296b"),
+        ("49", "json", "fd1a599fd817e2d4e0041ef0b10102d7a5d911e5abe0c9f238ed5f1a393dc3a4"),
+        ("100", "csv", "57901119670291448fedc086ac7bb7099e8b0437cd09c97701d6a34b7c30c42f"),
+    ], ids=["csv", "json", "csv-100"])
+    def test_pinned_bytes(self, max_norm, emit, sha256, capsys):
+        code, out = invoke(capsys, "greedy-hur", "--max-norm", max_norm, "--emit", emit)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == sha256
 

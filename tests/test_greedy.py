@@ -1,3 +1,5 @@
+import bisect
+import functools
 import math
 import random
 
@@ -15,11 +17,55 @@ from gpfree.quaternion import (
     HurwitzInt,
     ONE,
     ZERO,
+    _mul,
     enumerate_norm,
     is_gp_triple,
     left_divide,
     units,
 )
+
+
+def forward_greedy(max_norm, rng=None):
+    """Slow oracle: the forward scan on coordinate tuples.
+
+    Per shell it multiplies every kept first term a of each norm-s split
+    by each scanned ratio r, looks b = a * r up among all kept tuples and
+    lets c = b * r keep the first (a, b, r) it gets, as build_greedy
+    does, but with two tuple products per pair and no integer keys or
+    storage cutoffs.
+    """
+    included, excluded, kept = [], [], set()
+    kept_by_norm = {}
+    ratio_classes = {}
+    for n in range(1, max_norm + 1):
+        candidates = enumerate_norm(n)
+        if rng is not None:
+            rng.shuffle(candidates)
+        witnesses = {}
+        for t in range(2, math.isqrt(n) + 1):
+            if n % (t * t):
+                continue
+            if t not in ratio_classes:
+                ratio_classes[t] = [r for r in enumerate_norm(t) if r.coords < (-r).coords]
+            firsts = kept_by_norm[n // (t * t)]
+            for r in ratio_classes[t]:
+                rc = r.coords
+                for a in firsts:
+                    b = _mul(a, rc)
+                    if b in kept:
+                        witnesses.setdefault(_mul(b, rc), (a, b, r))
+        shell = kept_by_norm[n] = []
+        for c in candidates:
+            cc = c.coords
+            witness = witnesses.get(cc)
+            if witness is None:
+                included.append(c)
+                shell.append(cc)
+            else:
+                a, b, r = witness
+                excluded.append((c, (HurwitzInt(*a), HurwitzInt(*b), r)))
+        kept.update(shell)
+    return GreedyReport(max_norm, tuple(included), tuple(excluded))
 
 
 def backward_greedy(max_norm, rng=None):
@@ -60,6 +106,25 @@ def backward_greedy(max_norm, rng=None):
             else:
                 excluded.append((c, witness))
     return tuple(included), tuple(excluded)
+
+
+@functools.cache
+def forward_greedy_100(seed):
+    """The oracle to norm 100, shuffled by Random(seed) unless seed is None.
+
+    Shell n's shuffle draws the same numbers whatever max_norm is, and
+    nothing else in the oracle depends on max_norm, so every smaller run
+    with the same seed is a norm prefix of this one.
+    """
+    return forward_greedy(100, None if seed is None else random.Random(seed))
+
+
+def norm_prefix(report, max_norm):
+    """The part of a report up to max_norm, as a run to max_norm reports it."""
+    # Both parts list their entries in norm order.
+    included = bisect.bisect_right(report.included, max_norm, key=HurwitzInt.norm)
+    excluded = bisect.bisect_right(report.excluded, max_norm, key=lambda e: e[0].norm())
+    return GreedyReport(max_norm, report.included[:included], report.excluded[:excluded])
 
 
 def unit_scan_squares(m):
@@ -131,6 +196,19 @@ class TestBuildGreedy:
         assert {r.norm() for _, (_, _, r) in excluded} == {2, 3, 5, 6}
         assert report.included == included
         assert report.excluded == excluded
+
+    @pytest.mark.parametrize("seed", [None, 0, 1])
+    @pytest.mark.parametrize("max_norm", [*range(1, 41), 64, 100])
+    def test_matches_forward_scan(self, max_norm, seed):
+        rng = None if seed is None else random.Random(seed)
+        assert build_greedy(max_norm, rng=rng) == norm_prefix(forward_greedy_100(seed), max_norm)
+
+    def test_prefix_of_larger_run(self):
+        # The key base and the half- and quarter-norm storage cutoffs all
+        # move with max_norm; the decisions and witnesses must not.
+        full = build_greedy(60)
+        for max_norm in range(1, 61):
+            assert build_greedy(max_norm) == norm_prefix(full, max_norm)
 
     def test_nothing_excluded_below_four(self):
         report = build_greedy(3)
