@@ -102,6 +102,8 @@ def _cmd_count(args) -> tuple[dict | str, int]:
         ]
         return {"command": "count", "max_norm": args.table, "provenance": "odd-divisor-sieve",
                 "rows": rows}, 0
+    if args.emit == "csv":
+        raise ValueError("--emit csv needs --table; --norm and --upto give one JSON object")
     if args.upto is not None:
         return {"command": "count", "provenance": "divisor-sum-swap",
                 "total": count_upto(args.upto), "upto": args.upto}, 0
@@ -238,7 +240,7 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--norm", type=int, help="count elements of exactly this norm")
     group.add_argument("--upto", type=int, help="count elements with norm up to this bound")
     group.add_argument("--table", type=int, help="tabulate counts for all norms up to this bound")
-    p.add_argument("--emit", choices=["json", "csv"], default="json")
+    p.add_argument("--emit", choices=["json", "csv"], default="json", help="csv needs --table")
     p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser("enumerate", help="list all elements of one norm")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -98,15 +99,22 @@ def count_upto(max_norm: int) -> int:
 def _odd_divisor_sums_upto(max_norm: int) -> list[int]:
     """Sieve of odd divisor sums for 1..max_norm (index 0 unused).
 
-    Odd divisors are added to odd multiples only; each even n then takes
-    the sum of n // 2, already final, since 2k has the odd divisors of k.
+    Every odd n splits as d * m with odd d <= m in one way per divisor
+    pair, so for each odd d <= sqrt(max_norm) one slice assignment adds
+    d + m to sums[d * m] for all odd m >= d, and the square d * d then
+    takes d back, as its pair holds one divisor.  Even n are filled by
+    block copies, since 2**k * m has the odd divisors of m: for each k,
+    sums[2**k * m] = sums[m] for every odd m <= max_norm >> k.
     """
     sums = [0] * (max_norm + 1)
-    for d in range(1, max_norm + 1, 2):
-        for multiple in range(d, max_norm + 1, 2 * d):
-            sums[multiple] += d
-    for n in range(2, max_norm + 1, 2):
-        sums[n] = sums[n // 2]
+    for d in range(1, math.isqrt(max_norm) + 1, 2):
+        row = sums[d * d :: 2 * d]
+        sums[d * d :: 2 * d] = map(operator.add, row, range(2 * d, 2 * (d + len(row)), 2))
+        sums[d * d] -= d
+    k = 1
+    while max_norm >> k:
+        sums[1 << k :: 2 << k] = sums[1 : (max_norm >> k) + 1 : 2]
+        k += 1
     return sums
 
 

@@ -7,10 +7,11 @@ Hurwitz integers whose norm is a Rankin integer, meaning every prime
 exponent of the norm avoids the digit 2 in base 3.  Bounds are exact
 rationals.  The Euler product is accumulated in 50-digit decimal
 arithmetic; each odd-prime factor, p = 5 included, is first summed in
-fixed point with 14 guard digits and rounded once, and is divided out
-exactly only in the rare case where the fixed-point error window holds
-a rounding midpoint, so every factor is the correctly rounded 50-digit
-value.
+fixed point with 14 guard digits, visiting only the nonzero weights of
+its power series, and rounded once by a single divmod that also tells
+whether the fixed-point error window holds a rounding midpoint.  Only
+then is the factor divided out exactly, so every factor is the
+correctly rounded 50-digit value.
 """
 
 from __future__ import annotations
@@ -298,39 +299,62 @@ def _fixed_weights(exponents: list[int]) -> list[int]:
     return weights
 
 
+def _fixed_steps(weights: list[int]) -> list[tuple[int, int]]:
+    """The nonzero weights as (w, gap) steps, in order of the power k.
+
+    gap is the distance from w's power to the next nonzero weight's, or
+    to len(weights) after the last one, so one pass of _fixed_factor
+    adds w * T_k and then moves to T_(k + gap) with one floor division.
+    """
+    powers = [k for k, w in enumerate(weights) if w] + [len(weights)]
+    return [(weights[k], nxt - k) for k, nxt in zip(powers, powers[1:])]
+
+
 def _round_fixed(total: int, slack: int) -> int | None:
     """Round a fixed-point factor to _DIGITS places, or None if undecidable.
 
     The exact factor times _SCALE lies in the open window
-    (total - slack, total + slack).  When no half-even midpoint
-    k*_UNIT + _UNIT/2 lies inside it, every value in the window rounds
-    like total does; otherwise None asks for the exact division.
+    (total - slack, total + slack).  With coefficient, rem =
+    divmod(total + _UNIT/2, _UNIT), the nearest half-even midpoint
+    k*_UNIT + _UNIT/2 at or below total lies rem units below it and the
+    next one _UNIT - rem units above it.  So the window holds a midpoint
+    exactly when rem < slack or rem > _UNIT - slack, and None then asks
+    for the exact division; otherwise every value in the window rounds
+    to coefficient, as total does.
     """
-    low, high = total - slack, total + slack
-    if (high - 1 - _HALF_UNIT) // _UNIT > (low - _HALF_UNIT) // _UNIT:
+    coefficient, rem = divmod(total + _HALF_UNIT, _UNIT)
+    if rem < slack or rem > _UNIT - slack:
         return None
-    return (total + _HALF_UNIT) // _UNIT
+    return coefficient
 
 
-def _fixed_factor(p: int, weights: list[int]) -> Decimal | None:
+def _fixed_factor(p: int, steps: list[tuple[int, int]], slack: int) -> Decimal | None:
     """The factor for an odd prime p, correctly rounded to _DIGITS places.
 
-    Sums w_k * T_k with T_k = floor(_SCALE / p**k), each exact under
-    repeated floor division by p and 0 from some k on.  Each T_k is
-    short of _SCALE / p**k by less than 1, so the sum is within
-    len(weights) of the exact scaled factor.  Returns None when that
-    window holds a rounding midpoint.  For p = 5 the factor can be a
-    terminating decimal such as 0.9504; the result is then that value
-    padded with trailing zeros, equal to the exact quotient.
+    Sums w_k * T_k over the nonzero weights, with T_k = floor(_SCALE /
+    p**k), stepping from T_k to T_(k + gap) by one floor division by
+    p**gap; floor(floor(S / p**a) / p**b) = floor(S / p**(a + b)), so
+    each T_k is exact, and the sum stops at the first T_k that is 0.
+    Each T_k is short of _SCALE / p**k by less than 1, so the sum is
+    within slack = len(weights) of the exact scaled factor.  Returns
+    None when that window holds a rounding midpoint.  For p = 5 the
+    factor can be a terminating decimal such as 0.9504; the result is
+    then that value padded with trailing zeros, equal to the exact
+    quotient.
+
+    Args:
+        p: an odd prime.
+        steps: the (w, gap) steps of _fixed_steps(weights).
+        slack: len(weights), the half-width of the error window.
     """
     total = 0
     x = _SCALE
-    for w in weights:
+    for w, gap in steps:
+        total += w * x
+        x //= p**gap
         if not x:
             break
-        total += w * x
-        x //= p
-    coefficient = _round_fixed(total, len(weights))
+    coefficient = _round_fixed(total, slack)
     if coefficient is None:
         return None
     if coefficient not in _COEFFICIENTS:
@@ -345,10 +369,11 @@ def rankin_density(max_prime: int = 10**6, max_exponent: int = 40) -> DensityEst
     the share of Hurwitz integers whose norm has p-adic valuation
     exactly n, so it matches summing proportion_exact_ppower(p, n) over
     allowed n.  Each odd-prime factor is summed as an integer at scale
-    10**64, which pins the exact value to a window at most
-    2*max_exponent + 3 units either side, and rounded once to 50
-    decimal places.  Only when that window holds a rounding midpoint is
-    the factor divided out exactly instead.
+    10**64 over the nonzero weights only, with the (w, gap) steps built
+    once per call; this pins the exact value to a window at most
+    2*max_exponent + 3 units either side.  One divmod rounds it to 50
+    decimal places and tells whether that window holds a rounding
+    midpoint; only then is the factor divided out exactly instead.
     Either way it is the correctly rounded 50-digit value, fed into a
     running 50-digit decimal product in ascending prime order.  Dropping
     primes above max_prime removes factors below 1, hence the truncated
@@ -367,13 +392,14 @@ def rankin_density(max_prime: int = 10**6, max_exponent: int = 40) -> DensityEst
         raise ValueError(f"max_exponent must be at least 1, got {max_exponent}")
     exponents = _apfree_exponents(max_exponent)
     weights = _fixed_weights(exponents)
+    steps, slack = _fixed_steps(weights), len(weights)
     even = rankin_even_factor(max_exponent)
     with decimal.localcontext(_CONTEXT):
         product = Decimal(even.numerator) / Decimal(even.denominator)
         for p in _primes_upto(max_prime):
             if p == 2:
                 continue
-            factor = _fixed_factor(p, weights)
+            factor = _fixed_factor(p, steps, slack)
             if factor is None:
                 factor = _exact_factor(p, exponents)
             product *= factor

@@ -262,6 +262,9 @@ class TestPinnedBytes:
         ("count --table 50", "19ddaf67f03de98e3b29afbeee86ef5c8c79270415d8bed683c8a942d125673e"),
         ("count --table 50 --emit csv",
          "071d527b687818ed1aef0b07b572a446268e8bb111e77840d7f5d2b3fe2267f6"),
+        # recorded before the divisor sieve became slices and block copies
+        ("count --table 20000 --emit csv",
+         "a88a2061e07fdb045e36a283df000233ba71e9d0bdc1750bc6979529ab79022e"),
         ("enumerate --norm 10", "8b98976f1e0bccf69eddeeaf43559d698d6c1d6823171ad19d1741efc3c2120e"),
         ("enumerate --norm 10 --emit text",
          "e663ef4d34e5516451c583a0dadc40ffc27c0f3871867ffe68ad95de8835292f"),
@@ -297,6 +300,8 @@ class TestParsing:
         "count --norm 0",
         "count --upto -1",
         "count --table 0",
+        "count --norm 3 --emit csv",
+        "count --upto 3 --emit csv",
         "enumerate --norm 0",
         "greedy-hur --max-norm 0",
         "rankin --max-prime 2",

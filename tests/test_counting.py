@@ -41,6 +41,25 @@ def test_odd_divisor_sieve_matches_formula():
     assert sums[1:] == [odd_divisor_sum(n) for n in range(1, 5001)]
 
 
+def odd_divisor_sums_oracle(max_norm):
+    """The sieve as a double loop: every odd divisor added to each odd multiple."""
+    sums = [0] * (max_norm + 1)
+    for d in range(1, max_norm + 1, 2):
+        for multiple in range(d, max_norm + 1, 2 * d):
+            sums[multiple] += d
+    for n in range(2, max_norm + 1, 2):
+        sums[n] = sums[n // 2]
+    return sums
+
+
+@pytest.mark.parametrize("max_norms", [range(1, 131), [5000]], ids=["1-130", "5000"])
+def test_odd_divisor_sieve_matches_double_loop(max_norms):
+    # the squares that start each slice and the block copies of even n
+    # are where a small bound goes wrong
+    for max_norm in max_norms:
+        assert counting._odd_divisor_sums_upto(max_norm) == odd_divisor_sums_oracle(max_norm)
+
+
 def is_prime_by_trial_division(p):
     return p > 1 and all(p % d for d in range(2, math.isqrt(p) + 1))
 

@@ -1,7 +1,9 @@
 """Density bounds, annuli verification, and the Rankin Euler product."""
 
 import decimal
+import itertools
 import math
+import random
 from decimal import Decimal
 from fractions import Fraction
 
@@ -194,6 +196,12 @@ class TestRankinDensity:
             (2000, 8, "0.77122525831779093901673308748310141826535509214970"),
             (5, 1, "0.74800000000000000000000000000000000000000000000000"),
             (5, 40, "0.81193513220506490116810779734105806017618681248847"),
+            # Recorded before the factor sums visited only nonzero weights:
+            # p = 3 walks all 83 weights, the others end at step boundaries.
+            (3, 40, "0.84577929085193058347515299071586789454839664731052"),
+            (10**6, 1, "0.70671668024813833684505522292022665767704842745595"),
+            (10**6, 4, "0.77118033864031691089256490039788732542548395182058"),
+            (300_000, 13, "0.77124493073272410868040384031922936197522863032270"),
         ],
     )
     def test_pinned_digits(self, max_prime, max_exponent, expected):
@@ -230,7 +238,7 @@ class TestFixedFactor:
             for exponents in exponent_lists:
                 weights = density._fixed_weights(list(exponents))
                 for p in primes:
-                    fixed = density._fixed_factor(p, weights)
+                    fixed = fixed_factor(p, weights)
                     assert fixed is not None, (p, exponents)
                     assert str(fixed) == str(density._exact_factor(p, list(exponents)))
 
@@ -248,7 +256,7 @@ class TestFixedFactor:
         with decimal.localcontext() as ctx:
             ctx.prec = 50
             for exponents in exponent_lists():
-                fixed = density._fixed_factor(5, density._fixed_weights(list(exponents)))
+                fixed = fixed_factor(5, density._fixed_weights(list(exponents)))
                 assert fixed is not None, exponents
                 assert fixed == density._exact_factor(5, list(exponents)), exponents
 
@@ -267,7 +275,7 @@ class TestFixedFactor:
         with decimal.localcontext() as ctx:
             ctx.prec = 50
             exact = density._exact_factor(5, [0, 1])
-        fixed = density._fixed_factor(5, density._fixed_weights([0, 1]))
+        fixed = fixed_factor(5, density._fixed_weights([0, 1]))
         assert str(exact) == "0.9504"
         assert fixed == exact and str(fixed) == "0.95040" + "0" * 45
 
@@ -275,7 +283,36 @@ class TestFixedFactor:
     def test_coefficient_outside_fifty_digits_raises(self, weights):
         # factors 1 and 0 round to 10**50 and 0, which have no 50-digit form
         with pytest.raises(AssertionError):
-            density._fixed_factor(3, weights)
+            fixed_factor(3, weights)
+
+    def test_steps_keep_nonzero_weights(self):
+        weights = density._fixed_weights(density._apfree_exponents(40))
+        steps = density._fixed_steps(weights)
+        powers = list(itertools.accumulate((gap for _, gap in steps), initial=0))
+        assert powers[-1] == len(weights) == 83
+        nonzero = [(k, w) for k, w in enumerate(weights) if w]
+        assert [(k, w) for k, (w, _) in zip(powers, steps)] == nonzero
+        assert len(nonzero) == 34
+
+    def test_sparse_total_matches_dense_below_ten_thousand(self, monkeypatch):
+        primes = [p for p in density._primes_upto(10**4) if p != 2]
+        assert_sparse_matches_dense(monkeypatch, primes, exponent_lists())
+
+    def test_sparse_total_matches_dense_at_step_thresholds(self, monkeypatch):
+        # T_k = floor(10**64 / p**k) first reads 0 where p passes 10**(64/k)
+        primes = []
+        for k in range(5, 14):
+            root = integer_root(10**64, k)
+            primes += primes_near(root, 20)
+        assert_sparse_matches_dense(monkeypatch, primes, exponent_lists())
+
+    def test_default_truncation_takes_fixed_path_only(self, monkeypatch):
+        calls = []
+        fixed, exact = density._fixed_factor, density._exact_factor
+        monkeypatch.setattr(density, "_fixed_factor", lambda *a: calls.append("fixed") or fixed(*a))
+        monkeypatch.setattr(density, "_exact_factor", lambda *a: calls.append("exact") or exact(*a))
+        rankin_density()
+        assert calls.count("fixed") == 78_497 and "exact" not in calls
 
 
 class TestRoundFixed:
@@ -302,3 +339,98 @@ class TestRoundFixed:
         midpoint = 7 * self.unit + self.half
         assert density._round_fixed(midpoint + 5, 5) == 8
         assert density._round_fixed(midpoint + 4, 5) is None
+
+    @pytest.mark.parametrize("slack", [1, 2, 5, 83, 1000])
+    def test_matches_three_floor_oracle_near_midpoints(self, slack):
+        for k in (0, 7, 10**49, 10**50 - 1):
+            midpoint = k * self.unit + self.half
+            for total in range(midpoint - slack - 2, midpoint + slack + 3):
+                assert density._round_fixed(total, slack) == round_fixed_oracle(total, slack)
+
+    def test_matches_three_floor_oracle_on_random_totals(self):
+        rng = random.Random(20261018)
+        for _ in range(20_000):
+            slack = rng.randint(1, 200)
+            if rng.random() < 0.5:
+                total = rng.randrange(10**64)
+            else:
+                total = rng.randrange(10**50) * self.unit + self.half + rng.randint(-250, 250)
+            assert density._round_fixed(total, slack) == round_fixed_oracle(total, slack)
+
+
+def fixed_factor(p, weights):
+    return density._fixed_factor(p, density._fixed_steps(weights), len(weights))
+
+
+def dense_fixed_total(p, weights):
+    """Oracle for the factor's fixed-point sum: every weight, zeros included."""
+    total = 0
+    x = density._SCALE
+    for w in weights:
+        if not x:
+            break
+        total += w * x
+        x //= p
+    return total
+
+
+def round_fixed_oracle(total, slack):
+    """Oracle for _round_fixed: counts the midpoints in the window with two floors."""
+    unit, half = density._UNIT, density._HALF_UNIT
+    low, high = total - slack, total + slack
+    if (high - 1 - half) // unit > (low - half) // unit:
+        return None
+    return (total + half) // unit
+
+
+def assert_sparse_matches_dense(monkeypatch, primes, exponent_lists):
+    # _fixed_factor hands its total to _round_fixed; record it there
+    seen = []
+    monkeypatch.setattr(density, "_round_fixed", lambda total, slack: seen.append(total))
+    for exponents in exponent_lists:
+        weights = density._fixed_weights(list(exponents))
+        for p in primes:
+            assert fixed_factor(p, weights) is None
+            assert seen.pop() == dense_fixed_total(p, weights), (p, exponents)
+
+
+def integer_root(n, k):
+    """The largest r with r**k <= n."""
+    r = round(n ** (1 / k))
+    while r**k > n:
+        r -= 1
+    while (r + 1) ** k <= n:
+        r += 1
+    return r
+
+
+def is_probable_prime(n):
+    """Miller-Rabin on the first twelve prime bases, exact below 3.3 * 10**24."""
+    if n < 2:
+        return False
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n in bases:
+        return True
+    if any(n % b == 0 for b in bases):
+        return False
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in bases:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def primes_near(n, count):
+    """The count primes at or below n and the count primes above it."""
+    below = itertools.islice(filter(is_probable_prime, range(n, 1, -1)), count)
+    above = itertools.islice(filter(is_probable_prime, itertools.count(n + 1)), count)
+    return [*below, *above]
