@@ -328,7 +328,7 @@ def _round_fixed(total: int, slack: int) -> int | None:
     return coefficient
 
 
-def _fixed_factor(p: int, steps: list[tuple[int, int]], slack: int) -> Decimal | None:
+def _fixed_factor(p: int, steps: list[tuple[int, int]], slack: int) -> int | None:
     """The factor for an odd prime p, correctly rounded to _DIGITS places.
 
     Sums w_k * T_k over the nonzero weights, with T_k = floor(_SCALE /
@@ -338,14 +338,17 @@ def _fixed_factor(p: int, steps: list[tuple[int, int]], slack: int) -> Decimal |
     Each T_k is short of _SCALE / p**k by less than 1, so the sum is
     within slack = len(weights) of the exact scaled factor.  Returns
     None when that window holds a rounding midpoint.  For p = 5 the
-    factor can be a terminating decimal such as 0.9504; the result is
-    then that value padded with trailing zeros, equal to the exact
-    quotient.
+    factor can be a terminating decimal such as 0.9504; its coefficient
+    is then that value padded with trailing zeros.
 
     Args:
         p: an odd prime.
         steps: the (w, gap) steps of _fixed_steps(weights).
         slack: len(weights), the half-width of the error window.
+
+    Returns:
+        The factor's 50-digit coefficient c, the factor being
+        c * 10**-_DIGITS, or None.
     """
     total = 0
     x = _SCALE
@@ -359,7 +362,12 @@ def _fixed_factor(p: int, steps: list[tuple[int, int]], slack: int) -> Decimal |
         return None
     if coefficient not in _COEFFICIENTS:
         raise AssertionError(f"factor for p={p} rounds to {coefficient}, outside [0.1, 1)")
-    return Decimal(coefficient).scaleb(-_DIGITS, _CONTEXT)
+    return coefficient
+
+
+def _coefficient(value: Decimal) -> int:
+    """The 50-digit coefficient of a 50-digit decimal in [0.1, 1)."""
+    return int(value.scaleb(_DIGITS, _CONTEXT))
 
 
 def rankin_density(max_prime: int = 10**6, max_exponent: int = 40) -> DensityEstimate:
@@ -375,9 +383,15 @@ def rankin_density(max_prime: int = 10**6, max_exponent: int = 40) -> DensityEst
     decimal places and tells whether that window holds a rounding
     midpoint; only then is the factor divided out exactly instead.
     Either way it is the correctly rounded 50-digit value, fed into a
-    running 50-digit decimal product in ascending prime order.  Dropping
-    primes above max_prime removes factors below 1, hence the truncated
-    value approaches the true density from above as max_prime grows.
+    running product in ascending prime order.  Dropping primes above
+    max_prime removes factors below 1, hence the truncated value
+    approaches the true density from above as max_prime grows.
+
+    The running product is kept as its 50-digit integer coefficient.
+    Each step rounds coefficient * factor / 10**50 half-even, which is
+    what a 50-digit ``Decimal`` product does while the product stays in
+    [0.1, 1); a step that leaves it below 0.1 raises.  The ``Decimal``
+    value is built once, at the end.
 
     Args:
         max_prime: largest odd prime kept, at least 3.
@@ -394,16 +408,23 @@ def rankin_density(max_prime: int = 10**6, max_exponent: int = 40) -> DensityEst
     weights = _fixed_weights(exponents)
     steps, slack = _fixed_steps(weights), len(weights)
     even = rankin_even_factor(max_exponent)
+    one, half, low = 10**_DIGITS, 10**_DIGITS // 2, 10 ** (_DIGITS - 1)
     with decimal.localcontext(_CONTEXT):
-        product = Decimal(even.numerator) / Decimal(even.denominator)
+        product = _coefficient(Decimal(even.numerator) / Decimal(even.denominator))
         for p in _primes_upto(max_prime):
             if p == 2:
                 continue
             factor = _fixed_factor(p, steps, slack)
             if factor is None:
-                factor = _exact_factor(p, exponents)
-            product *= factor
-        value = +product
+                factor = _coefficient(_exact_factor(p, exponents))
+            product, rem = divmod(product * factor, one)
+            if product < low:
+                # Below 0.1 a 50-digit Decimal would keep a 51st place.
+                raise AssertionError(f"Rankin product fell below 0.1 at p={p}")
+            # Half-even: round up past the midpoint, and at it when odd.
+            if rem > half or (rem == half and product & 1):
+                product += 1
+    value = Decimal(product).scaleb(-_DIGITS, _CONTEXT)
     return DensityEstimate(
         value=value, truncation=(max_prime, max_exponent), monotone_direction="over"
     )

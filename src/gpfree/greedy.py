@@ -5,6 +5,14 @@ within a norm), an element is kept unless it completes a three-term
 progression a, a*r, a*r*r with non-unit ratio whose earlier terms were
 both kept.  Since norms in such a progression grow strictly, only the
 candidate-as-last-term case can ever fire, which the builder exploits.
+
+The kept set is closed under left multiplication by the 24 units, by
+induction on the norm: if c = a*r*r with a and a*r kept, then
+u*c = (u*a)*r*r with u*a and u*a*r kept, and u^-1 gives the converse.
+For a fixed ratio r the first term a = c*(r*r)^-1 is unique, so the
+ratio that excludes c is also the one that excludes u*c, with witness
+(u*a, u*a*r, r).  The builder therefore scans one first term per
+left-unit orbit and records the 24 exclusions of an orbit at once.
 """
 
 from __future__ import annotations
@@ -14,7 +22,7 @@ import random
 from dataclasses import dataclass
 
 from .counting import count_norm_exact
-from .quaternion import HurwitzInt, _left_quotient, _mul, _norm_coords, enumerate_norm
+from .quaternion import HurwitzInt, _left_quotient, _mul, _norm_coords, enumerate_norm, units
 
 __all__ = [
     "GreedyReport",
@@ -54,9 +62,22 @@ def build_greedy(max_norm: int, rng: random.Random | None = None) -> GreedyRepor
     ascending, ratios r of norm t in enumeration order and kept a of
     norm s with b = a * r kept: c = b * r keeps the first (a, b, r) it
     gets.  As a = c * (r*r)^-1 is unique for fixed r, that is the witness
-    a backward search dividing c by each r * r stops at.  The kept set
+    a backward search dividing c by each r * r stops at, and the order
+    in which the first terms are visited does not matter.  The kept set
     is closed under negation, so -b = a * (-r) is kept exactly when b
     is, and of r and -r only the one enumerated first is scanned.
+
+    The scan visits one first term per left-unit orbit.  The kept set is
+    closed under left multiplication by each unit u, by induction on the
+    norm: c = a * r * r with a and a * r kept gives u * c = (u * a) * r *
+    r with u * a and u * a * r kept, and u^-1 gives the converse.  So
+    for each r, u * c is reached only from u * a, which is kept with
+    u * a * r exactly when a is kept with a * r: the first r to reach c
+    is the first to reach u * c, with witness (u * a, u * b, r).  A pair
+    (r, a) whose c is already recorded, or whose b is not kept, is
+    skipped; otherwise all 24 products u * c are recorded at once.
+    Left units act freely, so every orbit has 24 elements, and a kept
+    shell that is not a union of whole orbits raises.
 
     The scan runs on integer keys.  For four integers x, key(x) =
     x_0 + x_1 * B + x_2 * B**2 + x_3 * B**3, where B is the least power
@@ -69,14 +90,18 @@ def build_greedy(max_norm: int, rng: random.Random | None = None) -> GreedyRepor
     and Q_j = key(2e_j * r * r), for 2e_j the doubled j-th unit vector,
     key(2(a * r)) = sum(a_j * P_j) and key(2(a * r * r)) = sum(a_j * Q_j)
     over the doubled coordinates a_j of a: four integer products each,
-    with no ``_mul`` and no tuple built.  Witnesses are keyed by key(2c),
-    and a and b in a witness are the kept elements themselves.
+    with no ``_mul`` and no tuple built.  Left multiplication is linear
+    too: with U_j = key(u * 2e_j), key(2(u * x)) = sum(x_j * U_j), which
+    gives the 24 keys of an orbit from the coordinates of one element.
+    Witnesses are keyed by key(2c) and hold the keys of a and b, which
+    become the kept elements themselves when c is classified.
 
     Only what a later shell asks for is stored: kept elements by key up
-    to norm max_norm / 2, since b has norm N / t, and kept first terms
-    with their coordinates up to norm max_norm / 4, since a has norm
-    N / t**2.  A shell no progression reaches, such as every squarefree
-    one, is kept whole with no lookup per candidate.
+    to norm max_norm / 2, since b has norm N / t, and one entry per
+    kept orbit of first terms, with its coordinates and orbit keys, up
+    to norm max_norm / 4, since a has norm N / t**2.  A shell no
+    progression reaches, such as every squarefree one, is kept whole
+    with no lookup per candidate.
 
     Args:
         max_norm: largest norm processed, at least 1.
@@ -88,12 +113,14 @@ def build_greedy(max_norm: int, rng: random.Random | None = None) -> GreedyRepor
     if max_norm < 1:
         raise ValueError(f"max_norm must be positive, got {max_norm}")
     base = 1 << (((64 * max_norm).bit_length() + 1) // 2)
-    # key(2c) is the sum of c's doubled coordinates times k0..k3.
-    k0, k1, k2, k3 = 2, 2 * base, 2 * base ** 2, 2 * base ** 3
+    # key(2c) is the sum of c's doubled coordinates times k0..k3, and
+    # key(2u * c) the sum of them times the unit's columns U_0..U_3.
+    k0, k1, k2, k3 = (_key(e, base) for e in _BASIS)
+    unit_columns = [tuple(_key(_mul(u.coords, e), base) for e in _BASIS) for u in units()]
     half, quarter = max_norm // 2, max_norm // 4
     included, excluded = [], []
     kept: dict[int, HurwitzInt] = {}
-    firsts_by_norm: dict[int, list[tuple[int, int, int, int, HurwitzInt]]] = {}
+    orbits_by_norm: dict[int, list[tuple[int, int, int, int, tuple[int, ...]]]] = {}
     ratio_columns: dict[int, list[tuple]] = {}
     for n in range(1, max_norm + 1):
         candidates = enumerate_norm(n)
@@ -106,16 +133,20 @@ def build_greedy(max_norm: int, rng: random.Random | None = None) -> GreedyRepor
             if t not in ratio_columns:
                 ratio_columns[t] = [_columns(r, base)
                                     for r in enumerate_norm(t) if r.coords < (-r).coords]
-            firsts = firsts_by_norm[n // (t * t)]
-            for r, p0, p1, p2, p3, q0, q1, q2, q3 in ratio_columns[t]:
-                for a0, a1, a2, a3, a in firsts:
-                    # Most c are reached by several (a, r), so the witness
-                    # test comes first and a repeat skips the lookup of b.
-                    key = a0 * q0 + a1 * q1 + a2 * q2 + a3 * q3
-                    if key not in witnesses:
-                        b = kept.get(a0 * p0 + a1 * p1 + a2 * p2 + a3 * p3)
-                        if b is not None:
-                            witnesses[key] = (a, b, r)
+            orbits = orbits_by_norm[n // (t * t)]
+            for r, rc, p0, p1, p2, p3, q0, q1, q2, q3 in ratio_columns[t]:
+                for a0, a1, a2, a3, orbit in orbits:
+                    # c's whole orbit is recorded at once, so a recorded c
+                    # skips the lookup of b.
+                    if a0 * q0 + a1 * q1 + a2 * q2 + a3 * q3 in witnesses:
+                        continue
+                    if a0 * p0 + a1 * p1 + a2 * p2 + a3 * p3 not in kept:
+                        continue
+                    b = b0, b1, b2, b3 = _mul((a0, a1, a2, a3), rc)
+                    c0, c1, c2, c3 = _mul(b, rc)
+                    for (u0, u1, u2, u3), ka in zip(unit_columns, orbit):
+                        witnesses[c0 * u0 + c1 * u1 + c2 * u2 + c3 * u3] = (
+                            ka, b0 * u0 + b1 * u1 + b2 * u2 + b3 * u3, r)
         if not witnesses:
             included.extend(candidates)
             shell = candidates
@@ -127,28 +158,59 @@ def build_greedy(max_norm: int, rng: random.Random | None = None) -> GreedyRepor
                     included.append(c)
                     shell.append(c)
                 else:
-                    excluded.append((c, witness))
+                    ka, kb, r = witness
+                    excluded.append((c, (kept[ka], kept[kb], r)))
         if n <= half:
             kept.update({c.da * k0 + c.db * k1 + c.dc * k2 + c.dd * k3: c for c in shell})
         if n <= quarter:
-            firsts_by_norm[n] = [(c.da, c.db, c.dc, c.dd, c) for c in shell]
+            orbits_by_norm[n] = _orbits(shell, (k0, k1, k2, k3), unit_columns)
     return GreedyReport(max_norm, tuple(included), tuple(excluded))
 
 
+_BASIS = ((2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2))
+
+
+def _key(x: tuple[int, int, int, int], base: int) -> int:
+    """The balanced base-``base`` key of four integers (see build_greedy)."""
+    x0, x1, x2, x3 = x
+    return x0 + base * (x1 + base * (x2 + base * x3))
+
+
 def _columns(r: HurwitzInt, base: int) -> tuple:
-    """r followed by its column keys P_0..P_3, Q_0..Q_3 (see build_greedy).
+    """r, its coordinates and its column keys P_0..P_3, Q_0..Q_3 (see build_greedy).
 
     Each 2e_j is a valid doubled-coordinate tuple, so ``_mul`` gives the
     columns 2e_j * r and 2e_j * r * r exactly.
     """
     rc = r.coords
     rr = _mul(rc, rc)
-    keys = []
-    for factor in (rc, rr):
-        for e in ((2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2)):
-            x0, x1, x2, x3 = _mul(e, factor)
-            keys.append(x0 + base * (x1 + base * (x2 + base * x3)))
-    return (r, *keys)
+    return (r, rc, *(_key(_mul(e, f), base) for f in (rc, rr) for e in _BASIS))
+
+
+def _orbits(shell: list[HurwitzInt], columns: tuple[int, int, int, int],
+            unit_columns: list[tuple[int, int, int, int]]) -> list[tuple]:
+    """One (a_0, a_1, a_2, a_3, orbit keys) entry per left-unit orbit of a kept shell.
+
+    The orbit keys are key(2u * a) for the units u in order.  Left units
+    act freely, so each orbit has 24 elements, and the shell is a union
+    of whole orbits (see build_greedy) exactly when it holds 24 per entry.
+
+    Raises:
+        AssertionError: if the shell is not a union of whole orbits.
+    """
+    k0, k1, k2, k3 = columns
+    seen: set[int] = set()
+    entries = []
+    for a in shell:
+        a0, a1, a2, a3 = a.da, a.db, a.dc, a.dd
+        if a0 * k0 + a1 * k1 + a2 * k2 + a3 * k3 in seen:
+            continue
+        orbit = tuple(a0 * u0 + a1 * u1 + a2 * u2 + a3 * u3 for u0, u1, u2, u3 in unit_columns)
+        seen.update(orbit)
+        entries.append((a0, a1, a2, a3, orbit))
+    if 24 * len(entries) != len(shell):
+        raise AssertionError(f"kept shell of {len(shell)} elements is not a union of unit orbits")
+    return entries
 
 
 def is_unit_square_representable(q: HurwitzInt) -> tuple[HurwitzInt, HurwitzInt] | None:

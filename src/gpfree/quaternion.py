@@ -7,6 +7,11 @@ Python integers: the four stored values share a single parity, products
 of two elements have doubled coordinates divisible by 2 after expansion,
 and the reduced norm (a^2 + b^2 + c^2 + d^2) is always an exact integer.
 Nothing here touches floating point.
+
+Norm classes come from one lazy row scan over a two-square table,
+``_norm_rows``, already in lexicographic order.  The constructor checks
+the shared parity of its four arguments; ``enumerate_norm`` alone skips
+that check, because the scan yields only same-parity quadruples.
 """
 
 from __future__ import annotations
@@ -14,7 +19,6 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import starmap
 
 from .counting import is_rational_prime
 
@@ -150,12 +154,13 @@ def _extend_pair_table(limit: int) -> None:
     _pairs[:] = pairs
 
 
-def _norm_coords(norm: int) -> Iterator[tuple[int, int, int, int]]:
-    """Doubled coordinates of the norm class, lazily, in lexicographic order.
+def _norm_rows(norm: int) -> Iterator[tuple[int, int, list[tuple[int, int]]]]:
+    """The norm class as rows (da, db, row), lazily, in lexicographic order.
 
     The one norm-class scan: (da, db) runs lexicographically over
-    same-parity pairs, and each is followed by its row of (dc, dd) from
-    ``_pairs``, which is already sorted, so a caller may stop early.
+    same-parity pairs, and row is the ``_pairs`` list of the (dc, dd)
+    that complete it to doubled norm 4 * norm, already sorted.  Every
+    (da, db, dc, dd) glued this way shares one parity (see ``_pairs``).
     """
     target = 4 * norm
     _extend_pair_table(target)
@@ -165,12 +170,28 @@ def _norm_coords(norm: int) -> Iterator[tuple[int, int, int, int]]:
         lim = math.isqrt(rest)
         # db runs over the values of da's parity in [-lim, lim].
         for db in range(-lim + ((lim ^ da) & 1), lim + 1, 2):
-            for dc, dd in _pairs[rest - db * db]:
-                yield (da, db, dc, dd)
+            yield da, db, _pairs[rest - db * db]
+
+
+def _norm_coords(norm: int) -> Iterator[tuple[int, int, int, int]]:
+    """Doubled coordinates of the norm class, lazily, in lexicographic order.
+
+    Flattens ``_norm_rows``, so a caller may stop at the first hit
+    without building the rest of the class.
+    """
+    for da, db, row in _norm_rows(norm):
+        for dc, dd in row:
+            yield (da, db, dc, dd)
 
 
 def enumerate_norm(norm: int) -> list[HurwitzInt]:
     """All Hurwitz integers of the given reduced norm, sorted by coords.
+
+    Walks the rows of ``_norm_rows`` and builds each element in place
+    with its four slot stores.  This is the one place that skips the
+    constructor's parity check: the two-square table only glues pairs
+    of one residue class mod 4, so every quadruple it yields already
+    shares one parity.
 
     Args:
         norm: target reduced norm, at least 1.
@@ -184,7 +205,19 @@ def enumerate_norm(norm: int) -> list[HurwitzInt]:
     """
     if norm < 1:
         raise ValueError(f"norm must be positive, got {norm}")
-    return list(starmap(HurwitzInt, _norm_coords(norm)))
+    new = object.__new__
+    out = []
+    append = out.append
+    for da, db, row in _norm_rows(norm):
+        for dc, dd in row:
+            # Parity is guaranteed by the scan, so __init__ is bypassed.
+            q = new(HurwitzInt)
+            q.da = da
+            q.db = db
+            q.dc = dc
+            q.dd = dd
+            append(q)
+    return out
 
 
 _UNITS = tuple(enumerate_norm(1))

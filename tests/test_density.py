@@ -222,6 +222,48 @@ class TestRankinDensity:
             assert str(rankin_density(max_prime, max_exponent).value) == expected
 
 
+class TestIntegerProduct:
+    @pytest.mark.parametrize(
+        "max_prime, max_exponent",
+        [(3, 1), (97, 3), (10**4, 8), (2000, 40), (10**5, 12)],
+    )
+    def test_matches_decimal_product(self, max_prime, max_exponent):
+        expected = str(decimal_product_oracle(max_prime, max_exponent))
+        assert str(rankin_density(max_prime, max_exponent).value) == expected
+
+    @pytest.mark.parametrize("max_prime, max_exponent", [(5, 1), (1000, 13), (300, 40)])
+    def test_exact_fallback_matches_decimal_product(self, monkeypatch, max_prime, max_exponent):
+        # Every factor then comes from _exact_factor, in both the
+        # product and the oracle, which reads _fixed_factor through it.
+        monkeypatch.setattr(density, "_fixed_factor", lambda *args: None)
+        expected = str(decimal_product_oracle(max_prime, max_exponent))
+        assert str(rankin_density(max_prime, max_exponent).value) == expected
+
+    def test_product_below_a_tenth_raises(self, monkeypatch):
+        # A factor of 0.1 leaves a product below 0.1, where a 50-digit
+        # Decimal would keep one more place than the coefficient holds
+        monkeypatch.setattr(density, "_fixed_factor", lambda *args: 10 ** (density._DIGITS - 1))
+        with pytest.raises(AssertionError):
+            rankin_density(3, 1)
+
+
+def decimal_product_oracle(max_prime, max_exponent):
+    """Oracle for rankin_density: the running product multiplied in Decimal."""
+    exponents = density._apfree_exponents(max_exponent)
+    weights = density._fixed_weights(exponents)
+    even = rankin_even_factor(max_exponent)
+    with decimal.localcontext(density._CONTEXT):
+        product = Decimal(even.numerator) / Decimal(even.denominator)
+        for p in density._primes_upto(max_prime):
+            if p == 2:
+                continue
+            factor = fixed_factor(p, weights)
+            if factor is None:
+                factor = density._exact_factor(p, exponents)
+            product *= factor
+        return +product
+
+
 def is_prime(n):
     return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
@@ -359,7 +401,11 @@ class TestRoundFixed:
 
 
 def fixed_factor(p, weights):
-    return density._fixed_factor(p, density._fixed_steps(weights), len(weights))
+    """_fixed_factor as a 50-digit Decimal, or None when it falls back."""
+    coefficient = density._fixed_factor(p, density._fixed_steps(weights), len(weights))
+    if coefficient is None:
+        return None
+    return Decimal(coefficient).scaleb(-density._DIGITS, density._CONTEXT)
 
 
 def dense_fixed_total(p, weights):

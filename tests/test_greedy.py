@@ -224,6 +224,41 @@ class TestBuildGreedy:
             assert a.norm() == 1 and r.norm() == 2
 
 
+class TestLeftUnitInvariance:
+    """The property build_greedy's orbit scan rests on, checked on its output.
+
+    Closure under the two generators i and (1+i+j+k)/2 of the unit group
+    gives closure under every unit, as each unit is a product of them;
+    test_generators_reach_every_unit checks that.
+    """
+
+    GENERATORS = ((0, 2, 0, 0), (1, 1, 1, 1))
+
+    def test_generators_reach_every_unit(self):
+        reached = {ONE.coords}
+        frontier = [ONE.coords]
+        while frontier:
+            x = frontier.pop()
+            for g in self.GENERATORS:
+                y = _mul(g, x)
+                if y not in reached:
+                    reached.add(y)
+                    frontier.append(y)
+        assert reached == {u.coords for u in units()}
+
+    @pytest.mark.parametrize("seed", [None, 5])
+    def test_kept_set_and_witnesses_are_unit_invariant(self, seed):
+        report = build_greedy(100, rng=None if seed is None else random.Random(seed))
+        kept = report.included_coords()
+        witnesses = {c.coords: tuple(q.coords for q in w) for c, w in report.excluded}
+        for c, (a, b, r) in witnesses.items():
+            assert _mul(a, r) == b and _mul(b, r) == c
+        for g in self.GENERATORS:
+            assert all(_mul(g, x) in kept for x in kept)
+            for c, (a, b, r) in witnesses.items():
+                assert witnesses[_mul(g, c)] == (_mul(g, a), _mul(g, b), r)
+
+
 class TestUnitSquare:
     def test_two_i_has_representation(self):
         two_i = HurwitzInt.from_integers(0, 2, 0, 0)

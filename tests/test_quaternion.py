@@ -192,6 +192,22 @@ class TestEnumeration:
         assert len(enumerate_norm(4099)) == 24 * 4100
         assert head + list(scan) == expected
 
+    def test_unvalidated_build_matches_constructor(self):
+        # enumerate_norm builds its elements without the constructor's
+        # parity check; each must be what the validating constructor
+        # builds from the same coordinates, and the lazy scan must agree.
+        for n in [*range(1, 301), 1999]:
+            got = enumerate_norm(n)
+            coords = [q.coords for q in got]
+            assert all(not ((da ^ db) | (da ^ dc) | (da ^ dd)) & 1 for da, db, dc, dd in coords)
+            assert all(type(q) is HurwitzInt for q in got)
+            assert got == [HurwitzInt(*c) for c in coords]
+            assert list(_norm_coords(n)) == coords
+
+    def test_constructor_still_validates(self):
+        with pytest.raises(ValueError):
+            HurwitzInt(1, 2, 3, 4)
+
     def test_large_class_spot(self):
         # growable pair tables must survive a jump past their initial size
         assert len(enumerate_norm(2048)) == 24
