@@ -25,7 +25,6 @@ from fractions import Fraction
 from typing import Literal
 
 from .counting import factorize
-from .quaternion import HurwitzInt
 
 __all__ = [
     "AnnuliSpec",
@@ -36,7 +35,6 @@ __all__ = [
     "rankin_density",
     "rankin_even_factor",
     "rankin_gpfree_contains",
-    "rankin_quaternion_contains",
     "upper_bound_density",
     "verify_annuli_gp_free",
 ]
@@ -203,17 +201,6 @@ def rankin_gpfree_contains(n: int) -> bool:
         ValueError: if n < 1.
     """
     return all(rankin_apfree_contains(e) for _, e in factorize(n))
-
-
-def rankin_quaternion_contains(q: HurwitzInt) -> bool:
-    """Whether the norm of q is a Rankin integer.
-
-    Raises:
-        ValueError: if q is zero.
-    """
-    if q.is_zero():
-        raise ValueError("zero quaternion has no norm class")
-    return rankin_gpfree_contains(q.norm())
 
 
 @dataclass(frozen=True)

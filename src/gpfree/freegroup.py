@@ -9,6 +9,15 @@ even-length words only, and pulling it back through the isomorphism
 (xy)**k -> k onto the integers in the order 0, 1, -1, 2, -2, ... it has
 a clean base-3 digit description with an explicit arithmetic
 progression witnessing every exclusion.
+
+The two brute-force greedies count progressions differently.
+``greedy_set_bruteforce`` counts only arithmetic progressions of three
+distinct integers, which in the integers means every nonzero
+difference.  ``greedy_words_bruteforce`` also counts (w, I, w):
+an odd word w is a reflection, so the ratio r = w has r * r = I and
+w, w * r = I, I * r = w is a progression with a repeated term.  The
+identity is kept first, so every odd word is excluded this way, which
+is why the word greedy keeps even-length words only.
 """
 
 from __future__ import annotations
@@ -19,7 +28,6 @@ from fractions import Fraction
 __all__ = [
     "IDENTITY",
     "Word",
-    "alt_order_index",
     "alt_order_value",
     "even_word_to_int",
     "greedy_set_bruteforce",
@@ -28,7 +36,6 @@ __all__ = [
     "greedy_words_bruteforce",
     "greedy_words_density",
     "index_of",
-    "int_to_even_word",
     "ternary",
     "witness_progression",
     "word_at",
@@ -139,22 +146,12 @@ def even_word_to_int(w: Word) -> int:
     return k if w.leading == "x" else -k
 
 
-def int_to_even_word(k: int) -> Word:
-    """Inverse of even_word_to_int."""
-    if k == 0:
-        return IDENTITY
-    return Word("x" if k > 0 else "y", 2 * abs(k))
-
-
-def alt_order_index(k: int) -> int:
-    """Position (1-based) of k in the order 0, 1, -1, 2, -2, ..."""
-    if k == 0:
-        return 1
-    return 2 * k if k > 0 else 2 * -k + 1
-
-
 def alt_order_value(n: int) -> int:
-    """The n-th integer in the order 0, 1, -1, 2, -2, ...; inverse of alt_order_index."""
+    """The n-th integer (1-based) in the order 0, 1, -1, 2, -2, ...
+
+    Raises:
+        ValueError: if n < 1.
+    """
     if n < 1:
         raise ValueError(f"index must be at least 1, got {n}")
     if n == 1:
@@ -214,7 +211,10 @@ def greedy_set_bruteforce(max_abs: int) -> set[int]:
     Processes integers in the order 0, 1, -1, 2, -2, ... and keeps each
     one unless it would complete an arithmetic progression of three
     distinct terms with two kept integers, in any of the three
-    positions.
+    positions.  Requiring distinct terms only rules out the constant
+    progressions, since a nonzero difference always gives three
+    distinct integers; the word greedy, whose odd words have order 2,
+    also counts (w, I, w) (see the module docstring).
     """
     if max_abs < 0:
         raise ValueError(f"max_abs must be nonnegative, got {max_abs}")
@@ -246,6 +246,13 @@ def greedy_words_bruteforce(max_len: int) -> set[Word]:
     all terms in the kept set plus w itself.  Ratios are recovered by
     division, so terms of any length can appear, but both partner terms
     must already be kept (or coincide with w).
+
+    Progressions with a repeated term count too.  For an odd word w
+    the ratio r = w satisfies r * r = I, so (w, I, w) is a progression
+    with first and last term w; as I is kept first, it excludes every
+    odd word, and the set holds even-length words only.  Counting only
+    three distinct terms, as ``greedy_set_bruteforce`` does, would keep
+    some odd words as well.
     """
     if max_len < 0:
         raise ValueError(f"max_len must be nonnegative, got {max_len}")

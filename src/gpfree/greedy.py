@@ -13,6 +13,9 @@ For a fixed ratio r the first term a = c*(r*r)^-1 is unique, so the
 ratio that excludes c is also the one that excludes u*c, with witness
 (u*a, u*a*r, r).  The builder therefore scans one first term per
 left-unit orbit and records the 24 exclusions of an orbit at once.
+The build pauses the cyclic garbage collector, since the elements,
+keys and tuples it creates are acyclic and collections took about 30%
+of its time (see ``quaternion._collector_paused``).
 """
 
 from __future__ import annotations
@@ -22,7 +25,15 @@ import random
 from dataclasses import dataclass
 
 from .counting import count_norm_exact
-from .quaternion import HurwitzInt, _left_quotient, _mul, _norm_coords, enumerate_norm, units
+from .quaternion import (
+    HurwitzInt,
+    _collector_paused,
+    _left_quotient,
+    _mul,
+    _norm_coords,
+    enumerate_norm,
+    units,
+)
 
 __all__ = [
     "GreedyReport",
@@ -103,6 +114,10 @@ def build_greedy(max_norm: int, rng: random.Random | None = None) -> GreedyRepor
     progression reaches, such as every squarefree one, is kept whole
     with no lookup per candidate.
 
+    The cyclic garbage collector is paused for the whole build, after
+    the argument check, and re-enabled on return if it was on before
+    (see ``quaternion._collector_paused``).
+
     Args:
         max_norm: largest norm processed, at least 1.
         rng: optional shuffler for the within-norm candidate order.
@@ -112,59 +127,60 @@ def build_greedy(max_norm: int, rng: random.Random | None = None) -> GreedyRepor
     """
     if max_norm < 1:
         raise ValueError(f"max_norm must be positive, got {max_norm}")
-    base = 1 << (((64 * max_norm).bit_length() + 1) // 2)
-    # key(2c) is the sum of c's doubled coordinates times k0..k3, and
-    # key(2u * c) the sum of them times the unit's columns U_0..U_3.
-    k0, k1, k2, k3 = (_key(e, base) for e in _BASIS)
-    unit_columns = [tuple(_key(_mul(u.coords, e), base) for e in _BASIS) for u in units()]
-    half, quarter = max_norm // 2, max_norm // 4
-    included, excluded = [], []
-    kept: dict[int, HurwitzInt] = {}
-    orbits_by_norm: dict[int, list[tuple[int, int, int, int, tuple[int, ...]]]] = {}
-    ratio_columns: dict[int, list[tuple]] = {}
-    for n in range(1, max_norm + 1):
-        candidates = enumerate_norm(n)
-        if rng is not None:
-            rng.shuffle(candidates)
-        witnesses = {}
-        for t in range(2, math.isqrt(n) + 1):
-            if n % (t * t):
-                continue
-            if t not in ratio_columns:
-                ratio_columns[t] = [_columns(r, base)
-                                    for r in enumerate_norm(t) if r.coords < (-r).coords]
-            orbits = orbits_by_norm[n // (t * t)]
-            for r, rc, p0, p1, p2, p3, q0, q1, q2, q3 in ratio_columns[t]:
-                for a0, a1, a2, a3, orbit in orbits:
-                    # c's whole orbit is recorded at once, so a recorded c
-                    # skips the lookup of b.
-                    if a0 * q0 + a1 * q1 + a2 * q2 + a3 * q3 in witnesses:
-                        continue
-                    if a0 * p0 + a1 * p1 + a2 * p2 + a3 * p3 not in kept:
-                        continue
-                    b = b0, b1, b2, b3 = _mul((a0, a1, a2, a3), rc)
-                    c0, c1, c2, c3 = _mul(b, rc)
-                    for (u0, u1, u2, u3), ka in zip(unit_columns, orbit):
-                        witnesses[c0 * u0 + c1 * u1 + c2 * u2 + c3 * u3] = (
-                            ka, b0 * u0 + b1 * u1 + b2 * u2 + b3 * u3, r)
-        if not witnesses:
-            included.extend(candidates)
-            shell = candidates
-        else:
-            shell = []
-            for c in candidates:
-                witness = witnesses.get(c.da * k0 + c.db * k1 + c.dc * k2 + c.dd * k3)
-                if witness is None:
-                    included.append(c)
-                    shell.append(c)
-                else:
-                    ka, kb, r = witness
-                    excluded.append((c, (kept[ka], kept[kb], r)))
-        if n <= half:
-            kept.update({c.da * k0 + c.db * k1 + c.dc * k2 + c.dd * k3: c for c in shell})
-        if n <= quarter:
-            orbits_by_norm[n] = _orbits(shell, (k0, k1, k2, k3), unit_columns)
-    return GreedyReport(max_norm, tuple(included), tuple(excluded))
+    with _collector_paused():
+        base = 1 << (((64 * max_norm).bit_length() + 1) // 2)
+        # key(2c) is the sum of c's doubled coordinates times k0..k3, and
+        # key(2u * c) the sum of them times the unit's columns U_0..U_3.
+        k0, k1, k2, k3 = (_key(e, base) for e in _BASIS)
+        unit_columns = [tuple(_key(_mul(u.coords, e), base) for e in _BASIS) for u in units()]
+        half, quarter = max_norm // 2, max_norm // 4
+        included, excluded = [], []
+        kept: dict[int, HurwitzInt] = {}
+        orbits_by_norm: dict[int, list[tuple[int, int, int, int, tuple[int, ...]]]] = {}
+        ratio_columns: dict[int, list[tuple]] = {}
+        for n in range(1, max_norm + 1):
+            candidates = enumerate_norm(n)
+            if rng is not None:
+                rng.shuffle(candidates)
+            witnesses = {}
+            for t in range(2, math.isqrt(n) + 1):
+                if n % (t * t):
+                    continue
+                if t not in ratio_columns:
+                    ratio_columns[t] = [_columns(r, base)
+                                        for r in enumerate_norm(t) if r.coords < (-r).coords]
+                orbits = orbits_by_norm[n // (t * t)]
+                for r, rc, p0, p1, p2, p3, q0, q1, q2, q3 in ratio_columns[t]:
+                    for a0, a1, a2, a3, orbit in orbits:
+                        # c's whole orbit is recorded at once, so a recorded c
+                        # skips the lookup of b.
+                        if a0 * q0 + a1 * q1 + a2 * q2 + a3 * q3 in witnesses:
+                            continue
+                        if a0 * p0 + a1 * p1 + a2 * p2 + a3 * p3 not in kept:
+                            continue
+                        b = b0, b1, b2, b3 = _mul((a0, a1, a2, a3), rc)
+                        c0, c1, c2, c3 = _mul(b, rc)
+                        for (u0, u1, u2, u3), ka in zip(unit_columns, orbit):
+                            witnesses[c0 * u0 + c1 * u1 + c2 * u2 + c3 * u3] = (
+                                ka, b0 * u0 + b1 * u1 + b2 * u2 + b3 * u3, r)
+            if not witnesses:
+                included.extend(candidates)
+                shell = candidates
+            else:
+                shell = []
+                for c in candidates:
+                    witness = witnesses.get(c.da * k0 + c.db * k1 + c.dc * k2 + c.dd * k3)
+                    if witness is None:
+                        included.append(c)
+                        shell.append(c)
+                    else:
+                        ka, kb, r = witness
+                        excluded.append((c, (kept[ka], kept[kb], r)))
+            if n <= half:
+                kept.update({c.da * k0 + c.db * k1 + c.dc * k2 + c.dd * k3: c for c in shell})
+            if n <= quarter:
+                orbits_by_norm[n] = _orbits(shell, (k0, k1, k2, k3), unit_columns)
+        return GreedyReport(max_norm, tuple(included), tuple(excluded))
 
 
 _BASIS = ((2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2))

@@ -21,11 +21,9 @@ from gpfree.density import (
     rankin_density,
     rankin_even_factor,
     rankin_gpfree_contains,
-    rankin_quaternion_contains,
     upper_bound_density,
     verify_annuli_gp_free,
 )
-from gpfree.quaternion import HurwitzInt
 
 
 def has_ternary_two(n):
@@ -151,12 +149,6 @@ class TestRankinMembership:
             assert rankin_gpfree_contains(a * b) == (
                 rankin_gpfree_contains(a) and rankin_gpfree_contains(b)
             )
-
-    def test_quaternion_membership_is_norm_test(self):
-        assert rankin_quaternion_contains(HurwitzInt.from_integers(1, 0, 0, 0))
-        assert rankin_quaternion_contains(HurwitzInt.from_integers(1, 1, 0, 0))
-        # norm 4 = 2^2 and the exponent 2 has a ternary digit 2
-        assert not rankin_quaternion_contains(HurwitzInt.from_integers(2, 0, 0, 0))
 
 
 class TestRankinDensity:

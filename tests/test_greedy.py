@@ -68,6 +68,11 @@ def forward_greedy(max_norm, rng=None):
     return GreedyReport(max_norm, tuple(included), tuple(excluded))
 
 
+def conj(q):
+    """Quaternion conjugate, written here from the coordinates."""
+    return HurwitzInt(q.da, -q.db, -q.dc, -q.dd)
+
+
 def backward_greedy(max_norm, rng=None):
     """Slow oracle: the greedy that searches backwards from each candidate.
 
@@ -90,10 +95,10 @@ def backward_greedy(max_norm, rng=None):
             witness = None
             for t in splits:
                 for r in ratios[t]:
-                    q = left_divide((r * r).conjugate(), c.conjugate())
+                    q = left_divide(conj(r * r), conj(c))
                     if q is None:
                         continue
-                    a = q.conjugate()
+                    a = conj(q)
                     b = a * r
                     if a.coords in kept and b.coords in kept:
                         witness = (a, b, r)

@@ -6,6 +6,7 @@ no code.
 """
 
 import functools
+import gc
 import itertools
 import math
 
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpfree.counting import factorize
+from gpfree.greedy import build_greedy
 from gpfree.quaternion import (
     ONE,
     ZERO,
@@ -23,7 +25,6 @@ from gpfree.quaternion import (
     enumerate_norm,
     factor_modelled,
     is_gp_triple,
-    is_prime,
     left_divide,
     units,
 )
@@ -73,6 +74,11 @@ def full_class_factors(q, model):
             raise AssertionError(f"no norm-{p} left factor of {rest}")
     factors[-1] = factors[-1] * rest
     return tuple(factors)
+
+
+def conj(q):
+    """Quaternion conjugate, written here from the coordinates."""
+    return HurwitzInt(q.da, -q.db, -q.dc, -q.dd)
 
 
 def prime_model(n):
@@ -126,7 +132,7 @@ class TestArithmetic:
 
     def test_conjugate_gives_norm(self):
         q = HurwitzInt(1, 3, 5, 7)
-        assert q * q.conjugate() == HurwitzInt.from_integers(q.norm(), 0, 0, 0)
+        assert q * conj(q) == HurwitzInt.from_integers(q.norm(), 0, 0, 0)
 
     def test_units(self):
         us = units()
@@ -148,7 +154,7 @@ class TestArithmetic:
 
     @given(quaternions(), quaternions())
     def test_conjugate_antihomomorphism(self, a, b):
-        assert (a * b).conjugate() == b.conjugate() * a.conjugate()
+        assert conj(a * b) == conj(b) * conj(a)
 
     @given(quaternions())
     def test_neg_and_eq_hash(self, a):
@@ -237,15 +243,6 @@ class TestDivision:
     def test_divide_by_zero(self):
         with pytest.raises(ZeroDivisionError):
             left_divide(ZERO, ONE)
-
-
-class TestPrimality:
-    def test_norm_prime_elements(self):
-        assert is_prime(HurwitzInt.from_integers(1, 1, 0, 0))
-        assert is_prime(HurwitzInt.from_integers(1, 1, 1, 0))
-        assert not is_prime(HurwitzInt.from_integers(2, 0, 0, 0))
-        assert not is_prime(ONE)
-        assert not is_prime(ZERO)
 
 
 class TestFactorization:
@@ -361,3 +358,54 @@ class TestGpTriple:
         # A unit ratio never makes a progression, by is_gp_triple's contract.
         b = a * r
         assert is_gp_triple(a, b, b * r) == (r.norm() >= 2)
+
+
+class TestCollectorPause:
+    """enumerate_norm and build_greedy pause the cyclic collector and restore it."""
+
+    @pytest.fixture
+    def collection_starts(self):
+        starts = []
+
+        def count(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
+
+        # A fresh generation-0 count, so no collection is due on entry.
+        gc.collect()
+        gc.callbacks.append(count)
+        yield starts
+        gc.callbacks.remove(count)
+
+    def test_enabled_after_return(self):
+        assert gc.isenabled()
+        assert len(enumerate_norm(50)) == 24 * 31
+        assert gc.isenabled()
+        build_greedy(30)
+        assert gc.isenabled()
+
+    def test_enabled_after_rejected_input(self):
+        with pytest.raises(ValueError):
+            enumerate_norm(0)
+        assert gc.isenabled()
+        with pytest.raises(ValueError):
+            build_greedy(0)
+        assert gc.isenabled()
+
+    def test_caller_disabled_stays_disabled(self):
+        gc.disable()
+        try:
+            enumerate_norm(50)
+            assert not gc.isenabled()
+            build_greedy(30)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("call", [lambda: enumerate_norm(1500), lambda: build_greedy(60)],
+                             ids=["enumerate_norm-1500", "build_greedy-60"])
+    def test_no_collections_while_building(self, collection_starts, call):
+        # Only the one collection that re-enabling may set off is allowed;
+        # an unpaused build runs dozens.
+        call()
+        assert len(collection_starts) <= 1
