@@ -205,17 +205,17 @@ def rankin_gpfree_contains(n: int) -> bool:
 
 @dataclass(frozen=True)
 class DensityEstimate:
-    """A density value together with how it was truncated.
+    """A truncated Euler-product density and how it was truncated.
 
-    truncation is "exact" for closed forms, else the pair (max_prime,
-    max_exponent) that was used.  monotone_direction records the side
-    from which the truncated value approaches the true one: "over" means
-    the estimate only decreases as the truncation grows.
+    truncation is the pair (max_prime, max_exponent) that was used.
+    monotone_direction records the side from which the truncated value
+    approaches the true one; it is always "over": the estimate only
+    decreases as the truncation grows.
     """
 
-    value: Fraction | Decimal
-    truncation: tuple[int, int] | Literal["exact"]
-    monotone_direction: Literal["under", "over", "exact"]
+    value: Decimal
+    truncation: tuple[int, int]
+    monotone_direction: Literal["over"]
 
     def __post_init__(self):
         if not 0 <= self.value <= 1:

@@ -15,7 +15,12 @@ ratio that excludes c is also the one that excludes u*c, with witness
 left-unit orbit and records the 24 exclusions of an orbit at once.
 The build pauses the cyclic garbage collector, since the elements,
 keys and tuples it creates are acyclic and collections took about 30%
-of its time (see ``quaternion._collector_paused``).
+of its time.  The pause collects the caller's young garbage on entry
+and, on exit, moves every tracked object into the oldest generation
+with ``gc.freeze()`` and ``gc.unfreeze()``, two constant-time list
+moves in CPython, so re-enabling the collector does not scan the
+build's survivors either; the collector's state is process-wide (see
+``quaternion._collector_paused``).
 """
 
 from __future__ import annotations
@@ -115,8 +120,12 @@ def build_greedy(max_norm: int, rng: random.Random | None = None) -> GreedyRepor
     with no lookup per candidate.
 
     The cyclic garbage collector is paused for the whole build, after
-    the argument check, and re-enabled on return if it was on before
-    (see ``quaternion._collector_paused``).
+    the argument check, and re-enabled on return if it was on before.
+    If it was on and the caller holds no frozen objects, the pause runs
+    a young collection on entry and, on return, moves every tracked
+    object into the oldest generation in constant time, so nothing the
+    build made is scanned by the next young collection.  Both steps act
+    on the whole process (see ``quaternion._collector_paused``).
 
     Args:
         max_norm: largest norm processed, at least 1.

@@ -9,6 +9,7 @@ import functools
 import gc
 import itertools
 import math
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ from gpfree.quaternion import (
     ZERO,
     HurwitzInt,
     ModelledFactorization,
+    _collector_paused,
     _norm_coords,
     enumerate_norm,
     factor_modelled,
@@ -405,7 +407,52 @@ class TestCollectorPause:
     @pytest.mark.parametrize("call", [lambda: enumerate_norm(1500), lambda: build_greedy(60)],
                              ids=["enumerate_norm-1500", "build_greedy-60"])
     def test_no_collections_while_building(self, collection_starts, call):
-        # Only the one collection that re-enabling may set off is allowed;
-        # an unpaused build runs dozens.
+        # Only the young collection on entry is allowed.  An unpaused build
+        # runs dozens, and re-enabling without the move to the oldest
+        # generation sets off a generation-0 scan of everything built.
         call()
-        assert len(collection_starts) <= 1
+        assert collection_starts == [1]
+
+    def test_class_moved_to_oldest_generation(self):
+        out = enumerate_norm(1500)
+        oldest = {id(o) for o in gc.get_objects(generation=2)}
+        assert id(out) in oldest
+        assert all(id(q) in oldest for q in out)
+
+    def test_caller_garbage_collected_on_entry(self):
+        class Node:
+            pass
+
+        gc.collect()
+        a, b = Node(), Node()
+        a.other, b.other = b, a
+        dead = weakref.ref(a)
+        del a, b
+        assert dead() is not None
+        # Promoted with everything else, the cycle would wait for a full
+        # collection.
+        enumerate_norm(1500)
+        assert dead() is None
+
+    def test_caller_frozen_objects_stay_frozen(self):
+        gc.freeze()
+        try:
+            frozen = gc.get_freeze_count()
+            assert frozen > 0
+            enumerate_norm(1500)
+            assert gc.get_freeze_count() == frozen
+            build_greedy(30)
+            assert gc.get_freeze_count() == frozen
+            assert gc.isenabled()
+        finally:
+            gc.unfreeze()
+
+    def test_freeze_made_while_paused_stays_frozen(self):
+        # Stands in for another thread that freezes while a build runs.
+        try:
+            with _collector_paused():
+                gc.freeze()
+            assert gc.get_freeze_count() > 0
+            assert gc.isenabled()
+        finally:
+            gc.unfreeze()
