@@ -16,8 +16,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .counting import count_norm_exact, count_upto, proportion_exact_ppower
-from .counting import _odd_divisor_sums_upto
+from .counting import (
+    _odd_divisor_sums_upto,
+    count_norm_exact,
+    count_upto,
+    greatest_odd_divisor,
+    proportion_exact_ppower,
+    square_norm_gap,
+)
 from .density import (
     AnnuliSpec,
     lower_bound_density,
@@ -33,13 +39,8 @@ from .freegroup import (
     greedy_words_bruteforce,
     witness_progression,
 )
-from .greedy import (
-    build_greedy,
-    greatest_odd_divisor,
-    is_unit_square_representable,
-    square_norm_gap,
-)
-from .quaternion import HurwitzInt, enumerate_norm
+from .greedy import build_greedy
+from .quaternion import HurwitzInt, enumerate_norm, is_unit_square_representable
 
 __all__ = ["CheckResult", "run_checks"]
 

@@ -27,7 +27,6 @@ from __future__ import annotations
 import argparse
 import decimal
 import functools
-import io
 import json
 import os
 import sys
@@ -92,16 +91,12 @@ def _write(result: dict | str, args) -> None:
 def _cmd_count(args) -> tuple[dict | str, int]:
     if args.table is not None:
         table = NormCount.build(args.table)
+        header = ("norm", "count", "cumulative")
+        rows = [(n, table.per_norm[n], table.cumulative[n]) for n in range(1, args.table + 1)]
         if args.emit == "csv":
-            buf = io.StringIO()
-            table.write_csv(buf)
-            return buf.getvalue(), 0
-        rows = [
-            {"norm": n, "count": table.per_norm[n], "cumulative": table.cumulative[n]}
-            for n in range(1, args.table + 1)
-        ]
+            return "".join(f"{n},{c},{s}\n" for n, c, s in [header, *rows]), 0
         return {"command": "count", "max_norm": args.table, "provenance": "odd-divisor-sieve",
-                "rows": rows}, 0
+                "rows": [dict(zip(header, row)) for row in rows]}, 0
     if args.emit == "csv":
         raise ValueError("--emit csv needs --table; --norm and --upto give one JSON object")
     if args.upto is not None:

@@ -9,7 +9,6 @@ prime test here are the only ones in the package.
 
 from __future__ import annotations
 
-import csv
 import math
 import operator
 from dataclasses import dataclass
@@ -20,9 +19,11 @@ __all__ = [
     "count_norm_exact",
     "count_upto",
     "factorize",
+    "greatest_odd_divisor",
     "is_rational_prime",
     "odd_divisor_sum",
     "proportion_exact_ppower",
+    "square_norm_gap",
 ]
 
 
@@ -71,7 +72,33 @@ def count_norm_exact(norm: int) -> int:
     Raises:
         ValueError: if norm < 1.
     """
+    if norm < 1:
+        raise ValueError(f"norm must be positive, got {norm}")
     return 24 * odd_divisor_sum(norm)
+
+
+def greatest_odd_divisor(n: int) -> int:
+    """Largest odd divisor of n (n >= 1)."""
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
+    return n >> ((n & -n).bit_length() - 1)
+
+
+def square_norm_gap(n: int) -> tuple[int, int, bool]:
+    """Compare 24 times the norm-n count against the norm-n*n count.
+
+    Returns (24 * count_norm_exact(n), count_norm_exact(n * n), holds)
+    where holds means the strict inequality lhs < rhs.  The inequality
+    holds exactly when the greatest odd divisor of n exceeds 23, which
+    is what makes unit-times-square representations fail often enough
+    for the greedy set to stay large.
+
+    Raises:
+        ValueError: if n < 1.
+    """
+    lhs = 24 * count_norm_exact(n)
+    rhs = count_norm_exact(n * n)
+    return (lhs, rhs, lhs < rhs)
 
 
 def count_upto(max_norm: int) -> int:
@@ -141,13 +168,6 @@ class NormCount:
             per_norm[n] = c
             cumulative[n] = running
         return cls(max_norm, per_norm, cumulative)
-
-    def write_csv(self, stream) -> None:
-        """Write rows norm,count,cumulative to a text stream."""
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(["norm", "count", "cumulative"])
-        for n in range(1, self.max_norm + 1):
-            writer.writerow([n, self.per_norm[n], self.cumulative[n]])
 
 
 def proportion_exact_ppower(p: int, n: int) -> Fraction:

@@ -6,12 +6,7 @@ power-of-two upper bound, and the Euler product giving the density of
 Hurwitz integers whose norm is a Rankin integer, meaning every prime
 exponent of the norm avoids the digit 2 in base 3.  Bounds are exact
 rationals.  The Euler product is accumulated in 50-digit decimal
-arithmetic; each odd-prime factor, p = 5 included, is first summed in
-fixed point with 14 guard digits, visiting only the nonzero weights of
-its power series, and rounded once by a single divmod that also tells
-whether the fixed-point error window holds a rounding midpoint.  Only
-then is the factor divided out exactly, so every factor is the
-correctly rounded 50-digit value.
+arithmetic from correctly rounded factors (see ``_fixed_factor``).
 """
 
 from __future__ import annotations
@@ -22,7 +17,6 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from typing import Literal
 
 from .counting import factorize
 
@@ -80,26 +74,20 @@ class AnnuliSpec:
                     return True
         return False
 
-    def density_sum(self) -> Fraction:
-        """Sum of 1/hi^2 - 1/lo^2 over the ratio pairs, exact."""
-        total = Fraction(0)
-        for lo, hi in self.interval_ratios:
-            total += Fraction(1, hi * hi) - Fraction(1, lo * lo)
-        return total
-
 
 DEFAULT_ANNULI = AnnuliSpec()
 
 
-def lower_bound_density(spec: AnnuliSpec = DEFAULT_ANNULI) -> Fraction:
-    """Density of norms kept by the annular construction, exact.
+def lower_bound_density() -> Fraction:
+    """Density of norms kept by the annular construction DEFAULT_ANNULI, exact.
 
     Each pair (lo, hi) contributes 1/hi^2 - 1/lo^2 because the count of
     Hurwitz integers with norm at most M grows like a constant times
     M^2, so the annulus (M/lo, M/hi] carries that share of the total in
     the large-M limit.
     """
-    return spec.density_sum()
+    return sum((Fraction(1, hi * hi) - Fraction(1, lo * lo)
+                for lo, hi in DEFAULT_ANNULI.interval_ratios), Fraction(0))
 
 
 def upper_bound_density(terms: int | None = None) -> Fraction:
@@ -208,14 +196,14 @@ class DensityEstimate:
     """A truncated Euler-product density and how it was truncated.
 
     truncation is the pair (max_prime, max_exponent) that was used.
-    monotone_direction records the side from which the truncated value
-    approaches the true one; it is always "over": the estimate only
-    decreases as the truncation grows.
+    monotone_direction, a class constant, is the side from which the
+    truncated value approaches the true one: "over", as the estimate
+    only decreases when the truncation grows.
     """
 
     value: Decimal
     truncation: tuple[int, int]
-    monotone_direction: Literal["over"]
+    monotone_direction = "over"
 
     def __post_init__(self):
         if not 0 <= self.value <= 1:
@@ -324,9 +312,11 @@ def _fixed_factor(p: int, steps: list[tuple[int, int]], slack: int) -> int | Non
     each T_k is exact, and the sum stops at the first T_k that is 0.
     Each T_k is short of _SCALE / p**k by less than 1, so the sum is
     within slack = len(weights) of the exact scaled factor.  Returns
-    None when that window holds a rounding midpoint.  For p = 5 the
-    factor can be a terminating decimal such as 0.9504; its coefficient
-    is then that value padded with trailing zeros.
+    None when that window holds a rounding midpoint (see _round_fixed),
+    and rankin_density then divides the factor out exactly with
+    _exact_factor.  For p = 5 the factor can be a terminating decimal
+    such as 0.9504; its coefficient is then that value padded with
+    trailing zeros.
 
     Args:
         p: an odd prime.
@@ -363,16 +353,12 @@ def rankin_density(max_prime: int = 10**6, max_exponent: int = 40) -> DensityEst
     The factor for a prime p is the sum, over allowed exponents n, of
     the share of Hurwitz integers whose norm has p-adic valuation
     exactly n, so it matches summing proportion_exact_ppower(p, n) over
-    allowed n.  Each odd-prime factor is summed as an integer at scale
-    10**64 over the nonzero weights only, with the (w, gap) steps built
-    once per call; this pins the exact value to a window at most
-    2*max_exponent + 3 units either side.  One divmod rounds it to 50
-    decimal places and tells whether that window holds a rounding
-    midpoint; only then is the factor divided out exactly instead.
-    Either way it is the correctly rounded 50-digit value, fed into a
-    running product in ascending prime order.  Dropping primes above
-    max_prime removes factors below 1, hence the truncated value
-    approaches the true density from above as max_prime grows.
+    allowed n.  Each odd-prime factor is the correctly rounded 50-digit
+    value (see ``_fixed_factor``), with the (w, gap) steps built once
+    per call, fed into a running product in ascending prime order.
+    Dropping primes above max_prime removes factors below 1, hence the
+    truncated value approaches the true density from above as
+    max_prime grows.
 
     The running product is kept as its 50-digit integer coefficient.
     Each step rounds coefficient * factor / 10**50 half-even, which is
@@ -412,6 +398,4 @@ def rankin_density(max_prime: int = 10**6, max_exponent: int = 40) -> DensityEst
             if rem > half or (rem == half and product & 1):
                 product += 1
     value = Decimal(product).scaleb(-_DIGITS, _CONTEXT)
-    return DensityEstimate(
-        value=value, truncation=(max_prime, max_exponent), monotone_direction="over"
-    )
+    return DensityEstimate(value=value, truncation=(max_prime, max_exponent))

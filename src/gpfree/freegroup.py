@@ -17,7 +17,8 @@ difference.  ``greedy_words_bruteforce`` also counts (w, I, w):
 an odd word w is a reflection, so the ratio r = w has r * r = I and
 w, w * r = I, I * r = w is a progression with a repeated term.  The
 identity is kept first, so every odd word is excluded this way, which
-is why the word greedy keeps even-length words only.
+is why the word greedy keeps even-length words only; counting distinct
+terms only would keep some odd words as well.
 """
 
 from __future__ import annotations
@@ -211,10 +212,7 @@ def greedy_set_bruteforce(max_abs: int) -> set[int]:
     Processes integers in the order 0, 1, -1, 2, -2, ... and keeps each
     one unless it would complete an arithmetic progression of three
     distinct terms with two kept integers, in any of the three
-    positions.  Requiring distinct terms only rules out the constant
-    progressions, since a nonzero difference always gives three
-    distinct integers; the word greedy, whose odd words have order 2,
-    also counts (w, I, w) (see the module docstring).
+    positions (the module docstring compares this with the word greedy).
     """
     if max_abs < 0:
         raise ValueError(f"max_abs must be nonnegative, got {max_abs}")
@@ -245,14 +243,8 @@ def greedy_words_bruteforce(max_len: int) -> set[Word]:
     progression a, a*r, a*r*r with r != I has w as one of its terms and
     all terms in the kept set plus w itself.  Ratios are recovered by
     division, so terms of any length can appear, but both partner terms
-    must already be kept (or coincide with w).
-
-    Progressions with a repeated term count too.  For an odd word w
-    the ratio r = w satisfies r * r = I, so (w, I, w) is a progression
-    with first and last term w; as I is kept first, it excludes every
-    odd word, and the set holds even-length words only.  Counting only
-    three distinct terms, as ``greedy_set_bruteforce`` does, would keep
-    some odd words as well.
+    must already be kept (or coincide with w).  Progressions with a
+    repeated term count too (see the module docstring).
     """
     if max_len < 0:
         raise ValueError(f"max_len must be nonnegative, got {max_len}")

@@ -5,22 +5,7 @@ within a norm), an element is kept unless it completes a three-term
 progression a, a*r, a*r*r with non-unit ratio whose earlier terms were
 both kept.  Since norms in such a progression grow strictly, only the
 candidate-as-last-term case can ever fire, which the builder exploits.
-
-The kept set is closed under left multiplication by the 24 units, by
-induction on the norm: if c = a*r*r with a and a*r kept, then
-u*c = (u*a)*r*r with u*a and u*a*r kept, and u^-1 gives the converse.
-For a fixed ratio r the first term a = c*(r*r)^-1 is unique, so the
-ratio that excludes c is also the one that excludes u*c, with witness
-(u*a, u*a*r, r).  The builder therefore scans one first term per
-left-unit orbit and records the 24 exclusions of an orbit at once.
-The build pauses the cyclic garbage collector, since the elements,
-keys and tuples it creates are acyclic and collections took about 30%
-of its time.  The pause collects the caller's young garbage on entry
-and, on exit, moves every tracked object into the oldest generation
-with ``gc.freeze()`` and ``gc.unfreeze()``, two constant-time list
-moves in CPython, so re-enabling the collector does not scan the
-build's survivors either; the collector's state is process-wide (see
-``quaternion._collector_paused``).
+``build_greedy`` says why it may scan one first term per left-unit orbit.
 """
 
 from __future__ import annotations
@@ -29,24 +14,9 @@ import math
 import random
 from dataclasses import dataclass
 
-from .counting import count_norm_exact
-from .quaternion import (
-    HurwitzInt,
-    _collector_paused,
-    _left_quotient,
-    _mul,
-    _norm_coords,
-    enumerate_norm,
-    units,
-)
+from .quaternion import HurwitzInt, _collector_paused, _mul, enumerate_norm, units
 
-__all__ = [
-    "GreedyReport",
-    "build_greedy",
-    "greatest_odd_divisor",
-    "is_unit_square_representable",
-    "square_norm_gap",
-]
+__all__ = ["GreedyReport", "build_greedy"]
 
 
 @dataclass(frozen=True)
@@ -119,13 +89,8 @@ def build_greedy(max_norm: int, rng: random.Random | None = None) -> GreedyRepor
     progression reaches, such as every squarefree one, is kept whole
     with no lookup per candidate.
 
-    The cyclic garbage collector is paused for the whole build, after
-    the argument check, and re-enabled on return if it was on before.
-    If it was on and the caller holds no frozen objects, the pause runs
-    a young collection on entry and, on return, moves every tracked
-    object into the oldest generation in constant time, so nothing the
-    build made is scanned by the next young collection.  Both steps act
-    on the whole process (see ``quaternion._collector_paused``).
+    The build runs with the cyclic garbage collector paused, after the
+    argument check (see ``quaternion._collector_paused``).
 
     Args:
         max_norm: largest norm processed, at least 1.
@@ -216,9 +181,9 @@ def _orbits(shell: list[HurwitzInt], columns: tuple[int, int, int, int],
             unit_columns: list[tuple[int, int, int, int]]) -> list[tuple]:
     """One (a_0, a_1, a_2, a_3, orbit keys) entry per left-unit orbit of a kept shell.
 
-    The orbit keys are key(2u * a) for the units u in order.  Left units
-    act freely, so each orbit has 24 elements, and the shell is a union
-    of whole orbits (see build_greedy) exactly when it holds 24 per entry.
+    The orbit keys are key(2u * a) for the units u in order.  The shell
+    is a union of whole orbits (see build_greedy) exactly when it holds
+    24 elements per entry.
 
     Raises:
         AssertionError: if the shell is not a union of whole orbits.
@@ -236,62 +201,3 @@ def _orbits(shell: list[HurwitzInt], columns: tuple[int, int, int, int],
     if 24 * len(entries) != len(shell):
         raise AssertionError(f"kept shell of {len(shell)} elements is not a union of unit orbits")
     return entries
-
-
-def is_unit_square_representable(q: HurwitzInt) -> tuple[HurwitzInt, HurwitzInt] | None:
-    """Search for a unit u and element r with q == u * r * r.
-
-    The norm of q must be a perfect square m * m; candidate r then runs
-    over the norm-m class in enumeration order, and for each r one exact
-    division solves u * r * r == q, as conj(r * r) * conj(u) == conj(q).
-
-    Args:
-        q: nonzero element whose norm is a perfect square.
-
-    Returns:
-        A pair (u, r) with q == u * r * r, or None if no such pair
-        exists.
-
-    Raises:
-        ValueError: if q is zero or its norm is not a perfect square.
-    """
-    if q.is_zero():
-        raise ValueError("zero quaternion not supported")
-    n = q.norm()
-    m = math.isqrt(n)
-    if m * m != n:
-        raise ValueError(f"norm {n} is not a perfect square")
-    a, b, c, d = q.coords
-    conj_q = (a, -b, -c, -d)
-    for r in _norm_coords(m):
-        a, b, c, d = _mul(r, r)
-        # Any quotient has norm n / (m * m) = 1, so it is a unit.
-        conj_u = _left_quotient((a, -b, -c, -d), conj_q)
-        if conj_u is not None:
-            a, b, c, d = conj_u
-            return (HurwitzInt(a, -b, -c, -d), HurwitzInt(*r))
-    return None
-
-
-def square_norm_gap(n: int) -> tuple[int, int, bool]:
-    """Compare 24 times the norm-n count against the norm-n*n count.
-
-    Returns (24 * count_norm_exact(n), count_norm_exact(n * n), holds)
-    where holds means the strict inequality lhs < rhs.  The inequality
-    holds exactly when the greatest odd divisor of n exceeds 23, which
-    is what makes unit-times-square representations fail often enough
-    for the greedy set to stay large.
-
-    Raises:
-        ValueError: if n < 1.
-    """
-    lhs = 24 * count_norm_exact(n)
-    rhs = count_norm_exact(n * n)
-    return (lhs, rhs, lhs < rhs)
-
-
-def greatest_odd_divisor(n: int) -> int:
-    """Largest odd divisor of n (n >= 1)."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    return n >> ((n & -n).bit_length() - 1)

@@ -12,14 +12,8 @@ Norm classes come from one lazy row scan over a two-square table,
 ``_norm_rows``, already in lexicographic order.  The constructor checks
 the shared parity of its four arguments; ``enumerate_norm`` alone skips
 that check, because the scan yields only same-parity quadruples.
-While it builds a class, ``enumerate_norm`` pauses the cyclic garbage
-collector (``_collector_paused``), since the elements are acyclic and
-re-scanning them cost about 40% of the time to build a class of a few
-hundred thousand elements.  The pause runs a young collection on
-entry and, on exit, moves every tracked object into the oldest
-generation in constant time (``gc.freeze()``, then ``gc.unfreeze()``),
-so the class is not scanned when the collector comes back on either.
-Both steps act on the whole process.
+``enumerate_norm`` builds a class with the cyclic garbage collector
+paused (see ``_collector_paused``).
 """
 
 from __future__ import annotations
@@ -39,6 +33,7 @@ __all__ = [
     "enumerate_norm",
     "factor_modelled",
     "is_gp_triple",
+    "is_unit_square_representable",
     "left_divide",
     "units",
 ]
@@ -48,7 +43,8 @@ def _mul(p: tuple[int, int, int, int], q: tuple[int, int, int, int]) -> tuple[in
     """Product of two elements given as doubled-coordinate tuples.
 
     The one Hamilton product in the package: ``HurwitzInt.__mul__`` wraps
-    it, and ``_left_quotient`` and ``greedy`` call it directly on tuples.
+    it, and ``_left_quotient``, ``is_unit_square_representable`` and
+    ``greedy`` call it directly on tuples.
     """
     a1, b1, c1, d1 = p
     a2, b2, c2, d2 = q
@@ -126,7 +122,6 @@ class HurwitzInt:
 
 
 ONE = HurwitzInt.from_integers(1, 0, 0, 0)
-ZERO = HurwitzInt.from_integers(0, 0, 0, 0)
 
 
 # Two-square table behind the norm-class scan.  A quadruple of doubled
@@ -221,7 +216,9 @@ def _collector_paused() -> Iterator[None]:
     exit would be undone.  The pause restores only what it changed: a
     collector disabled on entry stays disabled, a nested pause does
     nothing, and a caller holding frozen objects gets the bare pause,
-    since ``unfreeze`` would thaw them.
+    since ``unfreeze`` would thaw them.  CPython 3.12 starts with
+    interpreter objects frozen (``gc.get_freeze_count()`` is 375 at
+    start-up on 3.12.1), so there every pause is the bare one.
     """
     enabled = gc.isenabled()
     move = enabled and not gc.get_freeze_count()
@@ -292,10 +289,10 @@ def _left_quotient(a: tuple[int, int, int, int],
     """Doubled coordinates of the r with a * r == b, or None if there is none.
 
     The one exact division in the package, on doubled-coordinate tuples:
-    ``left_divide`` wraps it, and ``factor_modelled`` and ``greedy`` call
-    it directly.  Over the rational quaternions r = conj(a) * b / norm(a)
-    is the only candidate, so divisibility reduces to an integrality
-    test on it.
+    ``left_divide`` wraps it, and ``factor_modelled`` and
+    ``is_unit_square_representable`` call it directly.  Over the
+    rational quaternions r = conj(a) * b / norm(a) is the only
+    candidate, so divisibility reduces to an integrality test on it.
 
     Raises:
         ZeroDivisionError: if a is zero.
@@ -403,6 +400,41 @@ def factor_modelled(q: HurwitzInt, prime_norms) -> ModelledFactorization:
     if result.product() != q:
         raise AssertionError(f"factors {result.factors} do not multiply to {q}")
     return result
+
+
+def is_unit_square_representable(q: HurwitzInt) -> tuple[HurwitzInt, HurwitzInt] | None:
+    """Search for a unit u and element r with q == u * r * r.
+
+    The norm of q must be a perfect square m * m; candidate r then runs
+    over the norm-m class in enumeration order, and for each r one exact
+    division solves u * r * r == q, as conj(r * r) * conj(u) == conj(q).
+
+    Args:
+        q: nonzero element whose norm is a perfect square.
+
+    Returns:
+        A pair (u, r) with q == u * r * r, or None if no such pair
+        exists.
+
+    Raises:
+        ValueError: if q is zero or its norm is not a perfect square.
+    """
+    if q.is_zero():
+        raise ValueError("zero quaternion not supported")
+    n = q.norm()
+    m = math.isqrt(n)
+    if m * m != n:
+        raise ValueError(f"norm {n} is not a perfect square")
+    a, b, c, d = q.coords
+    conj_q = (a, -b, -c, -d)
+    for r in _norm_coords(m):
+        a, b, c, d = _mul(r, r)
+        # Any quotient has norm n / (m * m) = 1, so it is a unit.
+        conj_u = _left_quotient((a, -b, -c, -d), conj_q)
+        if conj_u is not None:
+            a, b, c, d = conj_u
+            return (HurwitzInt(a, -b, -c, -d), HurwitzInt(*r))
+    return None
 
 
 def is_gp_triple(a: HurwitzInt, b: HurwitzInt, c: HurwitzInt) -> bool:

@@ -43,9 +43,20 @@ class TestCount:
         ]
 
     def test_table_csv(self, capsys):
-        code, out = invoke(capsys, "count", "--table", "3", "--emit", "csv")
-        assert code == 0
-        assert out == "norm,count,cumulative\n1,24,24\n2,24,48\n3,96,144\n"
+        for table, expected in [
+            ("3", "norm,count,cumulative\n1,24,24\n2,24,48\n3,96,144\n"),
+            ("5", "norm,count,cumulative\n1,24,24\n2,24,48\n3,96,144\n4,24,168\n5,144,312\n"),
+        ]:
+            code, out = invoke(capsys, "count", "--table", table, "--emit", "csv")
+            assert code == 0
+            assert out == expected
+
+    def test_negative_norm_message(self, capsys):
+        # The message names what the user passed, not a helper's parameter.
+        with pytest.raises(SystemExit) as exc:
+            run(["count", "--norm", "-3"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == "gpfree: error: norm must be positive, got -3\n"
 
     def test_modes_mutually_exclusive(self, capsys):
         with pytest.raises(SystemExit) as exc:

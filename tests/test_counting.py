@@ -1,4 +1,3 @@
-import io
 import math
 from fractions import Fraction
 
@@ -154,18 +153,6 @@ class TestNormCount:
         assert all(
             table.cumulative[n] == table.cumulative[n - 1] + table.per_norm[n]
             for n in range(2, 51)
-        )
-
-    def test_csv_golden(self):
-        buf = io.StringIO()
-        NormCount.build(5).write_csv(buf)
-        assert buf.getvalue() == (
-            "norm,count,cumulative\n"
-            "1,24,24\n"
-            "2,24,48\n"
-            "3,96,144\n"
-            "4,24,168\n"
-            "5,144,312\n"
         )
 
 

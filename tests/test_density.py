@@ -97,9 +97,6 @@ class TestAnnuli:
         deep = list(DEFAULT_ANNULI.scales_upto(2304**2 * 48 + 1))
         assert deep == [1, 2304, 2304**3]
 
-    def test_density_sum_matches_lower_bound(self):
-        assert DEFAULT_ANNULI.density_sum() == lower_bound_density()
-
     def test_progression_free_at_contract_size(self):
         assert verify_annuli_gp_free(48 * 48)
 
@@ -177,7 +174,7 @@ class TestRankinDensity:
 
     def test_estimate_validation(self):
         with pytest.raises(ValueError):
-            DensityEstimate(Decimal("1.5"), (10, 10), "over")
+            DensityEstimate(Decimal("1.5"), (10, 10))
 
     @pytest.mark.parametrize(
         "max_prime, max_exponent, expected",

@@ -5,24 +5,20 @@ import random
 
 import pytest
 
-from gpfree.counting import count_norm_exact, count_upto
-from gpfree.greedy import (
-    GreedyReport,
-    build_greedy,
-    greatest_odd_divisor,
-    is_unit_square_representable,
-    square_norm_gap,
-)
+from gpfree.counting import count_norm_exact, count_upto, greatest_odd_divisor, square_norm_gap
+from gpfree.greedy import GreedyReport, build_greedy
 from gpfree.quaternion import (
     HurwitzInt,
     ONE,
-    ZERO,
     _mul,
     enumerate_norm,
     is_gp_triple,
+    is_unit_square_representable,
     left_divide,
     units,
 )
+
+ZERO = HurwitzInt(0, 0, 0, 0)
 
 
 def forward_greedy(max_norm, rng=None):

@@ -19,7 +19,6 @@ from gpfree.counting import factorize
 from gpfree.greedy import build_greedy
 from gpfree.quaternion import (
     ONE,
-    ZERO,
     HurwitzInt,
     ModelledFactorization,
     _collector_paused,
@@ -30,6 +29,8 @@ from gpfree.quaternion import (
     left_divide,
     units,
 )
+
+ZERO = HurwitzInt(0, 0, 0, 0)
 
 
 def brute_force_norm_class(n):
@@ -407,17 +408,27 @@ class TestCollectorPause:
     @pytest.mark.parametrize("call", [lambda: enumerate_norm(1500), lambda: build_greedy(60)],
                              ids=["enumerate_norm-1500", "build_greedy-60"])
     def test_no_collections_while_building(self, collection_starts, call):
-        # Only the young collection on entry is allowed.  An unpaused build
-        # runs dozens, and re-enabling without the move to the oldest
-        # generation sets off a generation-0 scan of everything built.
+        # An unpaused build runs dozens of collections.  With nothing frozen
+        # the pause allows only its young collection on entry: re-enabling
+        # without the move to the oldest generation would set off a
+        # generation-0 scan of everything built.  With frozen objects (as
+        # at start-up on CPython 3.12) the bare pause allows that one scan.
+        moves = not gc.get_freeze_count()
         call()
-        assert collection_starts == [1]
+        if moves:
+            assert collection_starts == [1]
+        else:
+            assert collection_starts in ([], [0])
 
     def test_class_moved_to_oldest_generation(self):
+        # A full collection first, so no older generation is due to run.
+        gc.collect()
+        moves = not gc.get_freeze_count()
         out = enumerate_norm(1500)
         oldest = {id(o) for o in gc.get_objects(generation=2)}
-        assert id(out) in oldest
-        assert all(id(q) in oldest for q in out)
+        # The bare pause moves nothing, so the class stays young.
+        assert (id(out) in oldest) == moves
+        assert all((id(q) in oldest) == moves for q in out)
 
     def test_caller_garbage_collected_on_entry(self):
         class Node:
@@ -435,7 +446,11 @@ class TestCollectorPause:
         assert dead() is None
 
     def test_caller_frozen_objects_stay_frozen(self):
-        gc.freeze()
+        # Objects frozen before the test (on CPython 3.12, the interpreter's
+        # own) are not the test's to thaw.
+        owned = not gc.get_freeze_count()
+        if owned:
+            gc.freeze()
         try:
             frozen = gc.get_freeze_count()
             assert frozen > 0
@@ -445,14 +460,17 @@ class TestCollectorPause:
             assert gc.get_freeze_count() == frozen
             assert gc.isenabled()
         finally:
-            gc.unfreeze()
+            if owned:
+                gc.unfreeze()
 
     def test_freeze_made_while_paused_stays_frozen(self):
         # Stands in for another thread that freezes while a build runs.
+        before = gc.get_freeze_count()
         try:
             with _collector_paused():
                 gc.freeze()
-            assert gc.get_freeze_count() > 0
+            assert gc.get_freeze_count() > before
             assert gc.isenabled()
         finally:
-            gc.unfreeze()
+            if not before:
+                gc.unfreeze()

@@ -21,3 +21,25 @@ def test_no_assert_statements(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert lines == [], f"assert statements in {path.name} at lines {lines}"
+
+
+# Private names one module may import from another, as (importer, module,
+# name).  Every other import of a _-prefixed name across modules fails.
+PRIVATE_IMPORTS = {
+    ("greedy", "quaternion", "_mul"),
+    ("greedy", "quaternion", "_collector_paused"),
+    # check_valuation_shares reads the sieve directly and stays as it is.
+    ("checks", "counting", "_odd_divisor_sums_upto"),
+}
+
+
+def test_no_private_imports_across_modules():
+    found = set()
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module:
+                module = node.module.rpartition(".")[2]
+                found.update((path.stem, module, alias.name) for alias in node.names
+                             if alias.name.startswith("_"))
+    assert found - PRIVATE_IMPORTS == set()
