@@ -34,7 +34,6 @@ from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
-from .checks import run_checks
 from .counting import NormCount, count_norm_exact, count_upto
 from .density import (
     DEFAULT_ANNULI,
@@ -90,9 +89,12 @@ def _write(result: dict | str, args) -> None:
 
 def _cmd_count(args) -> tuple[dict | str, int]:
     if args.table is not None:
+        if args.table < 1:
+            raise ValueError(f"--table must be positive, got {args.table}")
         table = NormCount.build(args.table)
         header = ("norm", "count", "cumulative")
-        rows = [(n, table.per_norm[n], table.cumulative[n]) for n in range(1, args.table + 1)]
+        rows = list(zip(range(1, args.table + 1), table.per_norm.values(),
+                        table.cumulative.values()))
         if args.emit == "csv":
             return "".join(f"{n},{c},{s}\n" for n, c, s in [header, *rows]), 0
         return {"command": "count", "max_norm": args.table, "provenance": "odd-divisor-sieve",
@@ -100,6 +102,8 @@ def _cmd_count(args) -> tuple[dict | str, int]:
     if args.emit == "csv":
         raise ValueError("--emit csv needs --table; --norm and --upto give one JSON object")
     if args.upto is not None:
+        if args.upto < 0:
+            raise ValueError(f"--upto must be nonnegative, got {args.upto}")
         return {"command": "count", "provenance": "divisor-sum-swap",
                 "total": count_upto(args.upto), "upto": args.upto}, 0
     return {"command": "count", "count": count_norm_exact(args.norm), "norm": args.norm,
@@ -207,6 +211,17 @@ def _cmd_freegroup_witness(args) -> tuple[dict | str, int]:
             "ratio": r, "ratio_ternary": ternary(r),
         }
     return payload, 0
+
+
+def run_checks(quick: bool = False):
+    """Run the check registry, importing gpfree.checks on first use.
+
+    Only verify-all needs the registry, so no other subcommand pays for
+    loading it.
+    """
+    from .checks import run_checks as run_registry
+
+    return run_registry(quick=quick)
 
 
 def _cmd_verify_all(args) -> tuple[dict | str, int]:

@@ -9,8 +9,10 @@ prime test here are the only ones in the package.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
+from collections.abc import Mapping, ValuesView
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -145,29 +147,66 @@ def _odd_divisor_sums_upto(max_norm: int) -> list[int]:
     return sums
 
 
+class _NormValues(ValuesView):
+    """The values of a _ByNorm in norm order, iterated straight off its list."""
+
+    __slots__ = ()
+
+    def __iter__(self):
+        return itertools.islice(self._mapping._values, 1, None)
+
+
+class _ByNorm(Mapping):
+    """Read-only mapping from each norm 1..len(values) - 1 to values[norm].
+
+    values[0] is a placeholder, so a norm indexes the list directly; any
+    other key raises KeyError.
+    """
+
+    __slots__ = ("_values",)
+
+    def __init__(self, values: list[int]):
+        self._values = values
+
+    def __getitem__(self, norm):
+        if isinstance(norm, int) and 0 < norm < len(self._values):
+            return self._values[norm]
+        raise KeyError(norm)
+
+    def __iter__(self):
+        return iter(range(1, len(self._values)))
+
+    def __len__(self) -> int:
+        return len(self._values) - 1
+
+    def values(self) -> _NormValues:
+        return _NormValues(self)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(max_norm={len(self)})"
+
+
 @dataclass(frozen=True)
 class NormCount:
-    """Per-norm and cumulative counts for all norms up to a bound."""
+    """Per-norm and cumulative counts for all norms up to a bound.
+
+    per_norm and cumulative are read-only mappings over the norms
+    1..max_norm, each backed by one list indexed by norm; a key outside
+    that range raises KeyError, and .values() runs in norm order.
+    """
 
     max_norm: int
-    per_norm: dict[int, int]
-    cumulative: dict[int, int]
+    per_norm: Mapping[int, int]
+    cumulative: Mapping[int, int]
 
     @classmethod
     def build(cls, max_norm: int) -> "NormCount":
         """Tabulate counts for 1..max_norm with a divisor sieve."""
         if max_norm < 1:
             raise ValueError(f"max_norm must be positive, got {max_norm}")
-        sums = _odd_divisor_sums_upto(max_norm)
-        per_norm = {}
-        cumulative = {}
-        running = 0
-        for n in range(1, max_norm + 1):
-            c = 24 * sums[n]
-            running += c
-            per_norm[n] = c
-            cumulative[n] = running
-        return cls(max_norm, per_norm, cumulative)
+        per_norm = list(map((24).__mul__, _odd_divisor_sums_upto(max_norm)))
+        cumulative = list(itertools.accumulate(per_norm))
+        return cls(max_norm, _ByNorm(per_norm), _ByNorm(cumulative))
 
 
 def proportion_exact_ppower(p: int, n: int) -> Fraction:

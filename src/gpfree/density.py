@@ -226,12 +226,21 @@ def rankin_even_factor(max_exponent: int) -> Fraction:
 
 
 def _primes_upto(limit: int) -> list[int]:
-    sieve = bytearray([1]) * (limit + 1)
-    sieve[:2] = b"\x00\x00"
-    for p in range(2, math.isqrt(limit) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return list(itertools.compress(range(limit + 1), sieve))
+    """Primes up to limit, ascending, by a sieve over the odd numbers only.
+
+    Index i of the sieve stands for 2i + 1, so the odd multiples of an
+    odd prime p from p*p on sit at the indices p*p // 2 + k*p.
+    """
+    if limit < 2:
+        return []
+    sieve = bytearray([1]) * ((limit + 1) // 2)
+    sieve[0] = 0
+    for i in range(1, (math.isqrt(limit) + 1) // 2):
+        if sieve[i]:
+            p = 2 * i + 1
+            start = p * p // 2
+            sieve[start::p] = bytes(len(range(start, len(sieve), p)))
+    return [2, *itertools.compress(range(1, limit + 1, 2), sieve)]
 
 
 # Odd-prime factors lie in [5/9, 1), so 50 significant digits are 50

@@ -2,9 +2,14 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gpfree
 from gpfree.checks import CheckResult
 from gpfree.cli import run
 
@@ -57,6 +62,19 @@ class TestCount:
             run(["count", "--norm", "-3"])
         assert exc.value.code == 2
         assert capsys.readouterr().err == "gpfree: error: norm must be positive, got -3\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        ("count --upto -1", "--upto must be nonnegative, got -1"),
+        ("count --table 0", "--table must be positive, got 0"),
+        ("count --table -4 --emit csv", "--table must be positive, got -4"),
+    ])
+    def test_rejected_bound_names_option(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(argv.split())
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"gpfree: error: {message}\n"
 
     def test_modes_mutually_exclusive(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -262,6 +280,17 @@ class TestVerifyAll:
         code, out = invoke(capsys, "verify-all")
         assert code == 0
         assert out.strip().split("\n")[-1] == "1/1 checks passed"
+
+
+def test_import_leaves_checks_unloaded():
+    # verify-all alone needs the check registry, so importing the CLI
+    # must not load it.
+    code = "import sys, gpfree.cli; print('gpfree.checks' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(gpfree.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=env, check=True)
+    assert result.stdout == "False\n"
 
 
 class TestPinnedBytes:

@@ -1,4 +1,7 @@
+import itertools
 import math
+import tracemalloc
+from collections.abc import ValuesView
 from fractions import Fraction
 
 import pytest
@@ -154,6 +157,55 @@ class TestNormCount:
             table.cumulative[n] == table.cumulative[n - 1] + table.per_norm[n]
             for n in range(2, 51)
         )
+
+
+class TestNormCountMapping:
+    @pytest.mark.parametrize("field", ["per_norm", "cumulative"])
+    @pytest.mark.parametrize("norm", [0, 51, -1, "1"])
+    def test_key_outside_norms(self, field, norm):
+        mapping = getattr(NormCount.build(50), field)
+        with pytest.raises(KeyError):
+            mapping[norm]
+        assert norm not in mapping
+        assert mapping.get(norm) is None
+
+    def test_matches_dict_oracle(self):
+        table = NormCount.build(50)
+        per_norm = {n: count_norm_exact(n) for n in range(1, 51)}
+        cumulative = dict(zip(per_norm, itertools.accumulate(per_norm.values())))
+        for mapping, oracle in [(table.per_norm, per_norm), (table.cumulative, cumulative)]:
+            assert len(mapping) == 50
+            assert list(mapping) == list(range(1, 51))
+            assert list(mapping.keys()) == list(range(1, 51))
+            assert list(mapping.values()) == list(oracle.values())
+            assert list(mapping.items()) == list(oracle.items())
+            assert mapping == oracle and dict(mapping) == oracle
+            assert 1 in mapping and 50 in mapping
+
+    def test_values_view_is_reusable(self):
+        values = NormCount.build(5).per_norm.values()
+        assert isinstance(values, ValuesView)
+        assert list(values) == list(values) == [24, 24, 96, 24, 144]
+        assert len(values) == 5 and 96 in values
+
+    def test_read_only(self):
+        table = NormCount.build(5)
+        with pytest.raises(TypeError):
+            table.per_norm[1] = 0
+        with pytest.raises(TypeError):
+            del table.cumulative[5]
+        assert table.per_norm[1] == 24 and table.cumulative[5] == 312
+
+    def test_build_memory_bound(self):
+        # The two lists peak at about 8 MB; a dict with an entry per
+        # norm for each table would take about 23 MB.
+        tracemalloc.start()
+        try:
+            NormCount.build(10**5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 10**6
 
 
 class TestProportions:

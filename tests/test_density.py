@@ -1,5 +1,6 @@
 """Density bounds, annuli verification, and the Rankin Euler product."""
 
+import bisect
 import decimal
 import itertools
 import math
@@ -234,6 +235,15 @@ class TestIntegerProduct:
         monkeypatch.setattr(density, "_fixed_factor", lambda *args: 10 ** (density._DIGITS - 1))
         with pytest.raises(AssertionError):
             rankin_density(3, 1)
+
+
+class TestPrimesUpto:
+    def test_matches_trial_division(self):
+        # Every limit, so each odd square, each prime and each even
+        # limit is an endpoint once.
+        primes = [n for n in range(5001) if is_prime(n)]
+        for limit in range(5001):
+            assert density._primes_upto(limit) == primes[:bisect.bisect_right(primes, limit)]
 
 
 def decimal_product_oracle(max_prime, max_exponent):
