@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .counting import (
-    _odd_divisor_sums_upto,
+    _norm_counts_upto,
     count_norm_exact,
     count_upto,
     greatest_odd_divisor,
@@ -78,14 +78,14 @@ def check_enumeration_count() -> tuple[bool, str]:
 
 def check_valuation_shares() -> tuple[bool, str]:
     m = 5000
-    sums = _odd_divisor_sums_upto(m)
-    total = 24 * sum(sums[1:])
+    counts = _norm_counts_upto(m)
+    total = sum(counts[1:])
     worst = 0.0
     worst_at = (2, 0)
     for p in (2, 3):
         for n in (0, 1, 2):
-            hit = 24 * sum(
-                sums[v] for v in range(1, m + 1) if v % p**n == 0 and v % p ** (n + 1) != 0
+            hit = sum(
+                counts[v] for v in range(1, m + 1) if v % p**n == 0 and v % p ** (n + 1) != 0
             )
             diff = abs(hit / total - float(proportion_exact_ppower(p, n)))
             if diff > worst:

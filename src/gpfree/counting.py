@@ -125,26 +125,27 @@ def count_upto(max_norm: int) -> int:
     return 24 * total
 
 
-def _odd_divisor_sums_upto(max_norm: int) -> list[int]:
-    """Sieve of odd divisor sums for 1..max_norm (index 0 unused).
+def _norm_counts_upto(max_norm: int) -> list[int]:
+    """Sieve of count_norm_exact(n) = 24 * (sum of odd divisors) for 1..max_norm.
 
-    Every odd n splits as d * m with odd d <= m in one way per divisor
-    pair, so for each odd d <= sqrt(max_norm) one slice assignment adds
-    d + m to sums[d * m] for all odd m >= d, and the square d * d then
-    takes d back, as its pair holds one divisor.  Even n are filled by
-    block copies, since 2**k * m has the odd divisors of m: for each k,
-    sums[2**k * m] = sums[m] for every odd m <= max_norm >> k.
+    Index 0 is unused.  Every odd n splits as d * m with odd d <= m in
+    one way per divisor pair, so for each odd d <= sqrt(max_norm) one
+    slice assignment adds 24 * (d + m) to counts[d * m] for all odd
+    m >= d, and the square d * d then takes 24 * d back, as its pair
+    holds one divisor.  Even n are filled by block copies, since 2**k * m
+    has the odd divisors of m: for each k, counts[2**k * m] = counts[m]
+    for every odd m <= max_norm >> k.
     """
-    sums = [0] * (max_norm + 1)
+    counts = [0] * (max_norm + 1)
     for d in range(1, math.isqrt(max_norm) + 1, 2):
-        row = sums[d * d :: 2 * d]
-        sums[d * d :: 2 * d] = map(operator.add, row, range(2 * d, 2 * (d + len(row)), 2))
-        sums[d * d] -= d
+        row = counts[d * d :: 2 * d]
+        counts[d * d :: 2 * d] = map(operator.add, row, range(48 * d, 48 * (d + len(row)), 48))
+        counts[d * d] -= 24 * d
     k = 1
     while max_norm >> k:
-        sums[1 << k :: 2 << k] = sums[1 : (max_norm >> k) + 1 : 2]
+        counts[1 << k :: 2 << k] = counts[1 : (max_norm >> k) + 1 : 2]
         k += 1
-    return sums
+    return counts
 
 
 class _NormValues(ValuesView):
@@ -204,7 +205,7 @@ class NormCount:
         """Tabulate counts for 1..max_norm with a divisor sieve."""
         if max_norm < 1:
             raise ValueError(f"max_norm must be positive, got {max_norm}")
-        per_norm = list(map((24).__mul__, _odd_divisor_sums_upto(max_norm)))
+        per_norm = _norm_counts_upto(max_norm)
         cumulative = list(itertools.accumulate(per_norm))
         return cls(max_norm, _ByNorm(per_norm), _ByNorm(cumulative))
 

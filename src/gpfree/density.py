@@ -6,7 +6,8 @@ power-of-two upper bound, and the Euler product giving the density of
 Hurwitz integers whose norm is a Rankin integer, meaning every prime
 exponent of the norm avoids the digit 2 in base 3.  Bounds are exact
 rationals.  The Euler product is accumulated in 50-digit decimal
-arithmetic from correctly rounded factors (see ``_fixed_factor``).
+arithmetic from correctly rounded factors, computed a block of primes
+at a time (see ``_fixed_factors``).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import decimal
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -244,16 +246,19 @@ def _primes_upto(limit: int) -> list[int]:
 
 
 # Odd-prime factors lie in [5/9, 1), so 50 significant digits are 50
-# decimal places.  They are summed at scale 10**(50 + _GUARD_DIGITS).
+# decimal places.  They are summed at scale 10**50 * 2**_GUARD_BITS, a
+# binary guard (2**47 >= 10**14) so that rounding is a shift and a mask.
 # _CONTEXT is the product's arithmetic, and is passed where a factor is
-# built so that a caller's narrower context cannot round it.
+# built so that a caller's narrower context cannot round it.  _BLOCK is
+# the number of primes _fixed_factors sums together.
 _DIGITS = 50
-_GUARD_DIGITS = 14
-_SCALE = 10 ** (_DIGITS + _GUARD_DIGITS)
-_UNIT = 10**_GUARD_DIGITS
-_HALF_UNIT = _UNIT // 2
+_GUARD_BITS = 47
+_SCALE = 10**_DIGITS << _GUARD_BITS
+_UNIT = 1 << _GUARD_BITS
+_HALF_UNIT = _UNIT >> 1
 _COEFFICIENTS = range(10 ** (_DIGITS - 1), 10**_DIGITS)
 _CONTEXT = decimal.Context(prec=_DIGITS, rounding=decimal.ROUND_HALF_EVEN)
+_BLOCK = 4096
 
 
 def _exact_factor(p: int, exponents: list[int]) -> Decimal:
@@ -287,68 +292,116 @@ def _fixed_steps(weights: list[int]) -> list[tuple[int, int]]:
     """The nonzero weights as (w, gap) steps, in order of the power k.
 
     gap is the distance from w's power to the next nonzero weight's, or
-    to len(weights) after the last one, so one pass of _fixed_factor
+    to len(weights) after the last one, so one step of _fixed_totals
     adds w * T_k and then moves to T_(k + gap) with one floor division.
     """
     powers = [k for k, w in enumerate(weights) if w] + [len(weights)]
     return [(weights[k], nxt - k) for k, nxt in zip(powers, powers[1:])]
 
 
-def _round_fixed(total: int, slack: int) -> int | None:
-    """Round a fixed-point factor to _DIGITS places, or None if undecidable.
+def _fixed_totals(block: list[int], steps: list[tuple[int, int]]) -> list[int]:
+    """Fixed-point sums of the factors for a nonempty block of ascending odd primes.
 
-    The exact factor times _SCALE lies in the open window
-    (total - slack, total + slack).  With coefficient, rem =
-    divmod(total + _UNIT/2, _UNIT), the nearest half-even midpoint
-    k*_UNIT + _UNIT/2 at or below total lies rem units below it and the
-    next one _UNIT - rem units above it.  So the window holds a midpoint
-    exactly when rem < slack or rem > _UNIT - slack, and None then asks
-    for the exact division; otherwise every value in the window rounds
-    to coefficient, as total does.
+    Entry i is the sum of w_k * floor(_SCALE / p**k) over the steps, for
+    p = block[i]; each w_k is 1 or -1, as _fixed_weights makes them.
+    How the block is walked is explained in _fixed_factors.
     """
-    coefficient, rem = divmod(total + _HALF_UNIT, _UNIT)
-    if rem < slack or rem > _UNIT - slack:
-        return None
-    return coefficient
+    totals = [0] * len(block)
+    x = [_SCALE] * len(block)
+    divisors = {}
+    for w, gap in steps:
+        totals[: len(x)] = map(operator.add if w > 0 else operator.sub, totals, x)
+        if x[0] < block[0] ** gap:
+            break
+        if gap not in divisors:
+            # Dividing twice by p, one 30-bit digit, beats dividing once
+            # by p**2, which from p = 2**15 on takes CPython's slower
+            # multi-digit division.
+            divisors[gap] = ([block] * gap if gap <= 2
+                             else [list(map(pow, block, itertools.repeat(gap)))])
+        for divisor in divisors[gap]:
+            x = list(map(operator.floordiv, x, divisor))
+        if not x[-1]:
+            del x[x.index(0) :]
+    return totals
 
 
-def _fixed_factor(p: int, steps: list[tuple[int, int]], slack: int) -> int | None:
-    """The factor for an odd prime p, correctly rounded to _DIGITS places.
+def _round_fixed(totals: list[int], slack: int) -> list[int | None]:
+    """Round fixed-point factors to _DIGITS places, with None where undecidable.
 
-    Sums w_k * T_k over the nonzero weights, with T_k = floor(_SCALE /
-    p**k), stepping from T_k to T_(k + gap) by one floor division by
-    p**gap; floor(floor(S / p**a) / p**b) = floor(S / p**(a + b)), so
-    each T_k is exact, and the sum stops at the first T_k that is 0.
-    Each T_k is short of _SCALE / p**k by less than 1, so the sum is
-    within slack = len(weights) of the exact scaled factor.  Returns
-    None when that window holds a rounding midpoint (see _round_fixed),
-    and rankin_density then divides the factor out exactly with
-    _exact_factor.  For p = 5 the factor can be a terminating decimal
-    such as 0.9504; its coefficient is then that value padded with
-    trailing zeros.
+    Each exact factor times _SCALE lies in the open window (total -
+    slack, total + slack).  With coefficient, rem = divmod(total +
+    _UNIT/2, _UNIT), the nearest half-even midpoint k*_UNIT + _UNIT/2 at
+    or below total lies rem units below it and the next one _UNIT - rem
+    units above it.  So the window holds a midpoint exactly when rem <
+    slack or rem > _UNIT - slack, and None then asks for the exact
+    division; otherwise every value in the window rounds to coefficient,
+    as total does.  How the block is tested at once is explained in
+    _fixed_factors.
+    """
+    shifted = list(map(operator.add, totals, itertools.repeat(_HALF_UNIT)))
+    coefficients = list(map(operator.rshift, shifted, itertools.repeat(_GUARD_BITS)))
+    rems = list(map(operator.and_, shifted, itertools.repeat(_UNIT - 1)))
+    if min(rems) < slack or max(rems) > _UNIT - slack:
+        for i, rem in enumerate(rems):
+            if rem < slack or rem > _UNIT - slack:
+                coefficients[i] = None
+    return coefficients
+
+
+def _fixed_factors(primes, steps: list[tuple[int, int]], slack: int):
+    """Yield the factors for ascending odd primes, correctly rounded, one list per block.
+
+    The factor for p is the sum of w_k * p**-k over the nonzero weights
+    (see _fixed_weights).  It is summed at the fixed-point scale _SCALE
+    as the sum of w_k * T_k, with T_k = floor(_SCALE / p**k), for
+    _BLOCK primes at a time: the loop over primes is turned inside out,
+    so each (w, gap) step of _fixed_steps is one C-level pass over the
+    block that adds w * T_k to every total and one that moves every
+    entry to T_(k + gap) by a floor division by p**gap, the block's
+    powers being built once per distinct gap (a gap of 2 divides by p
+    twice).  As floor(floor(S / p**a) / p**b) = floor(S / p**(a + b)),
+    each T_k is exact.  T_k falls as p grows, so the entries whose T_k
+    has reached 0 are a suffix of the block; they drop out of the later
+    passes, their totals being final.  The same order makes the block
+    stop once block[0]'s T_k is below block[0]**gap, as every entry's
+    next term is then 0.
+
+    Each T_k is short of _SCALE / p**k by less than 1, so a total is
+    within slack = len(weights) of the exact scaled factor, and
+    _round_fixed rounds it.  _SCALE carries a binary guard of
+    _GUARD_BITS bits below the 50 decimal places, so rounding a block is
+    a shift and a mask, and one min and one max of the remainders clear
+    the whole block when no entry's window holds a rounding midpoint;
+    otherwise the entries are tested one at a time.  An entry whose
+    window holds a midpoint is None, and rankin_density then divides
+    that factor out exactly with _exact_factor.  For p = 5 the factor
+    can be a terminating decimal such as 0.9504; its coefficient is then
+    that value padded with trailing zeros.
 
     Args:
-        p: an odd prime.
+        primes: ascending odd primes, any iterable.
         steps: the (w, gap) steps of _fixed_steps(weights).
         slack: len(weights), the half-width of the error window.
 
-    Returns:
-        The factor's 50-digit coefficient c, the factor being
-        c * 10**-_DIGITS, or None.
+    Yields:
+        For each block of primes, the list of their factors' 50-digit
+        coefficients c, each factor being c * 10**-_DIGITS, or None.
+
+    Raises:
+        AssertionError: if a factor rounds outside [0.1, 1).
     """
-    total = 0
-    x = _SCALE
-    for w, gap in steps:
-        total += w * x
-        x //= p**gap
-        if not x:
-            break
-    coefficient = _round_fixed(total, slack)
-    if coefficient is None:
-        return None
-    if coefficient not in _COEFFICIENTS:
-        raise AssertionError(f"factor for p={p} rounds to {coefficient}, outside [0.1, 1)")
-    return coefficient
+    primes = iter(primes)
+    while block := list(itertools.islice(primes, _BLOCK)):
+        coefficients = _round_fixed(_fixed_totals(block, steps), slack)
+        decided = coefficients
+        if None in coefficients:
+            decided = [c for c in coefficients if c is not None]
+        if decided and (min(decided) not in _COEFFICIENTS or max(decided) not in _COEFFICIENTS):
+            p, c = next((p, c) for p, c in zip(block, coefficients)
+                        if c is not None and c not in _COEFFICIENTS)
+            raise AssertionError(f"factor for p={p} rounds to {c}, outside [0.1, 1)")
+        yield coefficients
 
 
 def _coefficient(value: Decimal) -> int:
@@ -363,11 +416,11 @@ def rankin_density(max_prime: int = 10**6, max_exponent: int = 40) -> DensityEst
     the share of Hurwitz integers whose norm has p-adic valuation
     exactly n, so it matches summing proportion_exact_ppower(p, n) over
     allowed n.  Each odd-prime factor is the correctly rounded 50-digit
-    value (see ``_fixed_factor``), with the (w, gap) steps built once
-    per call, fed into a running product in ascending prime order.
-    Dropping primes above max_prime removes factors below 1, hence the
-    truncated value approaches the true density from above as
-    max_prime grows.
+    value, computed a block of primes at a time (see ``_fixed_factors``)
+    from (w, gap) steps built once per call, and fed into a running
+    product in ascending prime order.  Dropping primes above max_prime
+    removes factors below 1, hence the truncated value approaches the
+    true density from above as max_prime grows.
 
     The running product is kept as its 50-digit integer coefficient.
     Each step rounds coefficient * factor / 10**50 half-even, which is
@@ -391,12 +444,12 @@ def rankin_density(max_prime: int = 10**6, max_exponent: int = 40) -> DensityEst
     steps, slack = _fixed_steps(weights), len(weights)
     even = rankin_even_factor(max_exponent)
     one, half, low = 10**_DIGITS, 10**_DIGITS // 2, 10 ** (_DIGITS - 1)
+    primes = _primes_upto(max_prime)
+    factors = itertools.chain.from_iterable(
+        _fixed_factors(itertools.islice(primes, 1, None), steps, slack))
     with decimal.localcontext(_CONTEXT):
         product = _coefficient(Decimal(even.numerator) / Decimal(even.denominator))
-        for p in _primes_upto(max_prime):
-            if p == 2:
-                continue
-            factor = _fixed_factor(p, steps, slack)
+        for p, factor in zip(itertools.islice(primes, 1, None), factors):
             if factor is None:
                 factor = _coefficient(_exact_factor(p, exponents))
             product, rem = divmod(product * factor, one)

@@ -312,6 +312,8 @@ class TestPinnedBytes:
         ("bounds --terms 3", "59c7b04e64481e601e518add7c7cfbec8ff8ed594f55591dc5a8957adfda7b38"),
         ("rankin --max-prime 100 --max-exponent 12",
          "4aef316ed332f810cbb2d1903449cc8ba6ebc98bfd4a4cf2602966da0fe7152a"),
+        # recorded before the Euler factors were summed a block of primes at a time
+        ("rankin", "78490e760dafbd4957b2a0e8f4b46e3a3d753816a606e99f73910e4d4ac2ebd3"),
         ("annuli-check", "4800b62f13b78583ca2db6f2c98c21d941fffd75ee9f8f6dd1b7ecc2c33b31fd"),
         ("greedy-hur --max-norm 20",
          "c82acabeb3beff2abf540e061a4e96b1e950895c54b2e8762e9d5729944bc80b"),

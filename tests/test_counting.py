@@ -38,9 +38,9 @@ def test_odd_divisor_sum_reference(n):
 
 
 def test_odd_divisor_sieve_matches_formula():
-    sums = counting._odd_divisor_sums_upto(5000)
-    assert len(sums) == 5001
-    assert sums[1:] == [odd_divisor_sum(n) for n in range(1, 5001)]
+    counts = counting._norm_counts_upto(5000)
+    assert len(counts) == 5001
+    assert counts[1:] == [count_norm_exact(n) for n in range(1, 5001)]
 
 
 def odd_divisor_sums_oracle(max_norm):
@@ -59,7 +59,8 @@ def test_odd_divisor_sieve_matches_double_loop(max_norms):
     # the squares that start each slice and the block copies of even n
     # are where a small bound goes wrong
     for max_norm in max_norms:
-        assert counting._odd_divisor_sums_upto(max_norm) == odd_divisor_sums_oracle(max_norm)
+        oracle = [24 * s for s in odd_divisor_sums_oracle(max_norm)]
+        assert counting._norm_counts_upto(max_norm) == oracle
 
 
 def is_prime_by_trial_division(p):

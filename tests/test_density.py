@@ -224,15 +224,15 @@ class TestIntegerProduct:
     @pytest.mark.parametrize("max_prime, max_exponent", [(5, 1), (1000, 13), (300, 40)])
     def test_exact_fallback_matches_decimal_product(self, monkeypatch, max_prime, max_exponent):
         # Every factor then comes from _exact_factor, in both the
-        # product and the oracle, which reads _fixed_factor through it.
-        monkeypatch.setattr(density, "_fixed_factor", lambda *args: None)
+        # product and the oracle, which reads _fixed_factors through it.
+        monkeypatch.setattr(density, "_fixed_factors", constant_blocks(None))
         expected = str(decimal_product_oracle(max_prime, max_exponent))
         assert str(rankin_density(max_prime, max_exponent).value) == expected
 
     def test_product_below_a_tenth_raises(self, monkeypatch):
         # A factor of 0.1 leaves a product below 0.1, where a 50-digit
         # Decimal would keep one more place than the coefficient holds
-        monkeypatch.setattr(density, "_fixed_factor", lambda *args: 10 ** (density._DIGITS - 1))
+        monkeypatch.setattr(density, "_fixed_factors", constant_blocks(10 ** (density._DIGITS - 1)))
         with pytest.raises(AssertionError):
             rankin_density(3, 1)
 
@@ -251,12 +251,10 @@ def decimal_product_oracle(max_prime, max_exponent):
     exponents = density._apfree_exponents(max_exponent)
     weights = density._fixed_weights(exponents)
     even = rankin_even_factor(max_exponent)
+    primes = density._primes_upto(max_prime)[1:]
     with decimal.localcontext(density._CONTEXT):
         product = Decimal(even.numerator) / Decimal(even.denominator)
-        for p in density._primes_upto(max_prime):
-            if p == 2:
-                continue
-            factor = fixed_factor(p, weights)
+        for p, factor in zip(primes, fixed_factors(primes, weights)):
             if factor is None:
                 factor = density._exact_factor(p, exponents)
             product *= factor
@@ -278,8 +276,7 @@ class TestFixedFactor:
             ctx.prec = 50
             for exponents in exponent_lists:
                 weights = density._fixed_weights(list(exponents))
-                for p in primes:
-                    fixed = fixed_factor(p, weights)
+                for p, fixed in zip(primes, fixed_factors(primes, weights)):
                     assert fixed is not None, (p, exponents)
                     assert str(fixed) == str(density._exact_factor(p, list(exponents)))
 
@@ -335,25 +332,62 @@ class TestFixedFactor:
         assert [(k, w) for k, (w, _) in zip(powers, steps)] == nonzero
         assert len(nonzero) == 34
 
-    def test_sparse_total_matches_dense_below_ten_thousand(self, monkeypatch):
+    def test_sparse_total_matches_dense_below_ten_thousand(self):
         primes = [p for p in density._primes_upto(10**4) if p != 2]
-        assert_sparse_matches_dense(monkeypatch, primes, exponent_lists())
+        assert_sparse_matches_dense(primes, exponent_lists())
 
-    def test_sparse_total_matches_dense_at_step_thresholds(self, monkeypatch):
-        # T_k = floor(10**64 / p**k) first reads 0 where p passes 10**(64/k)
+    def test_sparse_total_matches_dense_at_step_thresholds(self):
+        # T_k = floor(_SCALE / p**k) first reads 0 where p passes the k-th root of _SCALE
         primes = []
         for k in range(5, 14):
-            root = integer_root(10**64, k)
+            root = integer_root(density._SCALE, k)
             primes += primes_near(root, 20)
-        assert_sparse_matches_dense(monkeypatch, primes, exponent_lists())
+        assert_sparse_matches_dense(sorted(primes), exponent_lists())
 
     def test_default_truncation_takes_fixed_path_only(self, monkeypatch):
-        calls = []
-        fixed, exact = density._fixed_factor, density._exact_factor
-        monkeypatch.setattr(density, "_fixed_factor", lambda *a: calls.append("fixed") or fixed(*a))
-        monkeypatch.setattr(density, "_exact_factor", lambda *a: calls.append("exact") or exact(*a))
+        blocks, exact_calls = [], []
+        fixed, exact = density._fixed_factors, density._exact_factor
+
+        def recorded(*args):
+            for block in fixed(*args):
+                blocks.append(block)
+                yield block
+
+        monkeypatch.setattr(density, "_fixed_factors", recorded)
+        monkeypatch.setattr(density, "_exact_factor", lambda *a: exact_calls.append(a) or exact(*a))
         rankin_density()
-        assert calls.count("fixed") == 78_497 and "exact" not in calls
+        coefficients = list(itertools.chain.from_iterable(blocks))
+        assert len(coefficients) == 78_497 and None not in coefficients
+        assert exact_calls == []
+
+
+class TestFixedFactorBlocks:
+    @pytest.mark.parametrize("share", [None, 16, 4], ids=["default", "wide", "wider"])
+    def test_blocks_straddling_step_thresholds_match_oracle(self, share):
+        # T_k = floor(_SCALE / p**k) first reads 0 where p passes the k-th
+        # root of _SCALE, so each block below mixes primes whose k-th term
+        # is 0 with primes whose term is not.  A slack of _UNIT / share
+        # flags about 2 / share of the entries, so the wider slacks also
+        # mix decided entries with undecidable ones in one block.
+        blocks = set()
+        for k in range(3, 84):
+            root = integer_root(density._SCALE, k)
+            blocks.add(tuple(sorted(p for p in primes_near(root, 8) if p != 2)))
+        entries = []
+        for exponents in exponent_lists():
+            weights = density._fixed_weights(list(exponents))
+            steps = density._fixed_steps(weights)
+            slack = len(weights) if share is None else density._UNIT // share
+            for block in sorted(blocks):
+                (got,) = density._fixed_factors(block, steps, slack)
+                expected = [round_fixed_oracle(dense_fixed_total(p, weights), slack) for p in block]
+                assert got == expected, (block, exponents, slack)
+                entries += got
+        undecided = entries.count(None)
+        if share is None:
+            assert undecided == 0
+        else:
+            assert 0.5 / share < undecided / len(entries) < 4 / share
 
 
 class TestRoundFixed:
@@ -361,32 +395,30 @@ class TestRoundFixed:
     half = density._HALF_UNIT
 
     def test_clear_of_midpoint_rounds_total(self):
-        assert density._round_fixed(7 * self.unit + 3, 5) == 7
-        assert density._round_fixed(7 * self.unit + self.unit - 3, 5) == 8
+        totals = [7 * self.unit + 3, 7 * self.unit + self.unit - 3]
+        assert density._round_fixed(totals, 5) == [7, 8]
 
     def test_straddling_midpoint_falls_back(self):
         midpoint = 7 * self.unit + self.half
-        for total in (midpoint - 4, midpoint, midpoint + 4):
-            assert density._round_fixed(total, 5) is None
+        assert density._round_fixed([midpoint - 4, midpoint, midpoint + 4], 5) == [None] * 3
 
     def test_touching_midpoint_from_below(self):
         # window (midpoint - 10, midpoint): every value rounds down
         midpoint = 7 * self.unit + self.half
-        assert density._round_fixed(midpoint - 5, 5) == 7
-        assert density._round_fixed(midpoint - 4, 5) is None
+        assert density._round_fixed([midpoint - 5, midpoint - 4], 5) == [7, None]
 
     def test_touching_midpoint_from_above(self):
         # window (midpoint, midpoint + 10): every value rounds up
         midpoint = 7 * self.unit + self.half
-        assert density._round_fixed(midpoint + 5, 5) == 8
-        assert density._round_fixed(midpoint + 4, 5) is None
+        assert density._round_fixed([midpoint + 5, midpoint + 4], 5) == [8, None]
 
     @pytest.mark.parametrize("slack", [1, 2, 5, 83, 1000])
     def test_matches_three_floor_oracle_near_midpoints(self, slack):
         for k in (0, 7, 10**49, 10**50 - 1):
             midpoint = k * self.unit + self.half
-            for total in range(midpoint - slack - 2, midpoint + slack + 3):
-                assert density._round_fixed(total, slack) == round_fixed_oracle(total, slack)
+            totals = range(midpoint - slack - 2, midpoint + slack + 3)
+            expected = [round_fixed_oracle(total, slack) for total in totals]
+            assert density._round_fixed(list(totals), slack) == expected
 
     def test_matches_three_floor_oracle_on_random_totals(self):
         rng = random.Random(20261018)
@@ -396,15 +428,29 @@ class TestRoundFixed:
                 total = rng.randrange(10**64)
             else:
                 total = rng.randrange(10**50) * self.unit + self.half + rng.randint(-250, 250)
-            assert density._round_fixed(total, slack) == round_fixed_oracle(total, slack)
+            assert density._round_fixed([total], slack) == [round_fixed_oracle(total, slack)]
+
+
+def fixed_factors(primes, weights):
+    """_fixed_factors as 50-digit Decimals, one per prime, or None where it falls back."""
+    blocks = density._fixed_factors(primes, density._fixed_steps(weights), len(weights))
+    return [None if c is None else Decimal(c).scaleb(-density._DIGITS, density._CONTEXT)
+            for c in itertools.chain.from_iterable(blocks)]
 
 
 def fixed_factor(p, weights):
-    """_fixed_factor as a 50-digit Decimal, or None when it falls back."""
-    coefficient = density._fixed_factor(p, density._fixed_steps(weights), len(weights))
-    if coefficient is None:
-        return None
-    return Decimal(coefficient).scaleb(-density._DIGITS, density._CONTEXT)
+    """The factor of fixed_factors for the single prime p."""
+    (factor,) = fixed_factors([p], weights)
+    return factor
+
+
+def constant_blocks(coefficient):
+    """A stand-in for _fixed_factors that gives every prime the same coefficient."""
+    def fixed_factors(primes, steps, slack):
+        primes = iter(primes)
+        while block := list(itertools.islice(primes, density._BLOCK)):
+            yield [coefficient] * len(block)
+    return fixed_factors
 
 
 def dense_fixed_total(p, weights):
@@ -428,25 +474,25 @@ def round_fixed_oracle(total, slack):
     return (total + half) // unit
 
 
-def assert_sparse_matches_dense(monkeypatch, primes, exponent_lists):
-    # _fixed_factor hands its total to _round_fixed; record it there
-    seen = []
-    monkeypatch.setattr(density, "_round_fixed", lambda total, slack: seen.append(total))
+def assert_sparse_matches_dense(primes, exponent_lists):
+    # primes ascending, in as many blocks as _fixed_factors would take
+    blocks = [primes[i : i + density._BLOCK] for i in range(0, len(primes), density._BLOCK)]
     for exponents in exponent_lists:
         weights = density._fixed_weights(list(exponents))
-        for p in primes:
-            assert fixed_factor(p, weights) is None
-            assert seen.pop() == dense_fixed_total(p, weights), (p, exponents)
+        steps = density._fixed_steps(weights)
+        for block in blocks:
+            totals = density._fixed_totals(block, steps)
+            assert totals == [dense_fixed_total(p, weights) for p in block], exponents
 
 
 def integer_root(n, k):
-    """The largest r with r**k <= n."""
-    r = round(n ** (1 / k))
-    while r**k > n:
-        r -= 1
-    while (r + 1) ** k <= n:
-        r += 1
-    return r
+    """The largest r with r**k <= n, by Newton's method from above."""
+    r = 1 << -(-n.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + n // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
 
 
 def is_probable_prime(n):

@@ -1,6 +1,7 @@
 """Checks on the package source itself, read as syntax trees."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -29,7 +30,7 @@ PRIVATE_IMPORTS = {
     ("greedy", "quaternion", "_mul"),
     ("greedy", "quaternion", "_collector_paused"),
     # check_valuation_shares reads the sieve directly and stays as it is.
-    ("checks", "counting", "_odd_divisor_sums_upto"),
+    ("checks", "counting", "_norm_counts_upto"),
 }
 
 
@@ -43,3 +44,20 @@ def test_no_private_imports_across_modules():
                 found.update((path.stem, module, alias.name) for alias in node.names
                              if alias.name.startswith("_"))
     assert found - PRIVATE_IMPORTS == set()
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_imports_only_stdlib(path):
+    # Run time stays stdlib-only: every import, at any depth in the
+    # module, names the standard library or gpfree itself.
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    outside = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        outside.update(name.partition(".")[0] for name in names)
+    assert outside - sys.stdlib_module_names - {"gpfree"} == set()
