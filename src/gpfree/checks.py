@@ -77,6 +77,21 @@ def check_enumeration_count() -> tuple[bool, str]:
 
 
 def check_valuation_shares() -> tuple[bool, str]:
+    """Valuation shares of norms up to 5000 against proportion_exact_ppower.
+
+    For p in (2, 3) and n in (0, 1, 2), the share of Hurwitz integers of
+    norm at most 5000 whose norm has p-adic valuation exactly n must be
+    within 0.02 of the published formula, and for p in (2, 3, 5, 7) the
+    formula's shares over n < 25 plus the closed-form tail must sum to 1.
+
+    This check fails, and the acceptance test running it is kept failing
+    so the discrepancy stays visible.  The p = 2 rows match, but at
+    p = 3, n = 0 about 16/27 of the elements are observed against the
+    published 5/9, a gap of 1/27, about 0.037: the derivation behind the
+    odd-prime formula counts factorization pairs, which overweights the
+    elements divisible by p, as those have p + 1 left divisors of norm p
+    instead of one.  The tails still sum to 1.
+    """
     m = 5000
     counts = _norm_counts_upto(m)
     total = sum(counts[1:])
@@ -214,6 +229,15 @@ def check_greedy_words() -> tuple[bool, str]:
 
 
 def check_density_decay() -> tuple[bool, str]:
+    """(3/2)**n times the greedy set's share of [-3**n, 3**n], for n < 13.
+
+    The published bracket asks for every value to lie in [1.3, 2.1].
+    This check fails, and the acceptance test running it is kept failing
+    so the discrepancy stays visible: the share is 2**(n+1) / (1 +
+    2 * 3**n), so the true value is 2 * 3**n / (1 + 2 * 3**n), which
+    rises from 2/3 at n = 0 towards 1 and lies in [2/3, 1), a factor of
+    about two below the bracket.
+    """
     lo, hi = Fraction(13, 10), Fraction(21, 10)
     products = [greedy_set_density(n) * Fraction(3, 2) ** n for n in range(13)]
     ok = all(lo <= v <= hi for v in products)

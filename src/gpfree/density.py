@@ -5,14 +5,13 @@ sets of Hurwitz integers free of geometric progressions, the matching
 power-of-two upper bound, and the Euler product giving the density of
 Hurwitz integers whose norm is a Rankin integer, meaning every prime
 exponent of the norm avoids the digit 2 in base 3.  Bounds are exact
-rationals.  The Euler product is accumulated in 50-digit decimal
-arithmetic from correctly rounded factors, computed a block of primes
-at a time (see ``_fixed_factors``).
+rationals.  The Euler product is a 50-digit integer coefficient,
+rounded half-even at each step, of correctly rounded factors computed a
+block of primes at a time (see ``_fixed_factors``).
 """
 
 from __future__ import annotations
 
-import decimal
 import itertools
 import math
 import operator
@@ -248,31 +247,27 @@ def _primes_upto(limit: int) -> list[int]:
 # Odd-prime factors lie in [5/9, 1), so 50 significant digits are 50
 # decimal places.  They are summed at scale 10**50 * 2**_GUARD_BITS, a
 # binary guard (2**47 >= 10**14) so that rounding is a shift and a mask.
-# _CONTEXT is the product's arithmetic, and is passed where a factor is
-# built so that a caller's narrower context cannot round it.  _BLOCK is
-# the number of primes _fixed_factors sums together.
+# _BLOCK is the number of primes _fixed_factors sums together.
 _DIGITS = 50
 _GUARD_BITS = 47
 _SCALE = 10**_DIGITS << _GUARD_BITS
 _UNIT = 1 << _GUARD_BITS
 _HALF_UNIT = _UNIT >> 1
 _COEFFICIENTS = range(10 ** (_DIGITS - 1), 10**_DIGITS)
-_CONTEXT = decimal.Context(prec=_DIGITS, rounding=decimal.ROUND_HALF_EVEN)
 _BLOCK = 4096
 
 
-def _exact_factor(p: int, exponents: list[int]) -> Decimal:
-    """The factor for prime p as one exact fraction, divided in the current context."""
-    top = exponents[-1]
+def _exact_factor(p: int, exponents: list[int]) -> int:
+    """The 50-digit coefficient of the factor for prime p, from one exact fraction.
+
+    Fraction rounds half-even, as a 50-digit Decimal division of a
+    factor in [0.1, 1) does.
+    """
     # Factor = sum over allowed n of p**-n - (p+1) * p**-(2n+2),
-    # cleared to the common denominator p**(2*top+2).
-    powers = [1] * (2 * top + 3)
-    for e in range(1, 2 * top + 3):
-        powers[e] = powers[e - 1] * p
-    num = 0
-    for n in exponents:
-        num += powers[2 * top + 2 - n] - (p + 1) * powers[2 * (top - n)]
-    return Decimal(num) / Decimal(powers[2 * top + 2])
+    # cleared to the common denominator p**top.
+    top = 2 * exponents[-1] + 2
+    num = sum(p ** (top - n) - (p + 1) * p ** (top - 2 * n - 2) for n in exponents)
+    return round(Fraction(num * 10**_DIGITS, p**top))
 
 
 def _fixed_weights(exponents: list[int]) -> list[int]:
@@ -336,8 +331,8 @@ def _round_fixed(totals: list[int], slack: int) -> list[int | None]:
     units above it.  So the window holds a midpoint exactly when rem <
     slack or rem > _UNIT - slack, and None then asks for the exact
     division; otherwise every value in the window rounds to coefficient,
-    as total does.  How the block is tested at once is explained in
-    _fixed_factors.
+    as total does.  How the block is tested at once, and what replaces
+    a None, is explained in _fixed_factors.
     """
     shifted = list(map(operator.add, totals, itertools.repeat(_HALF_UNIT)))
     coefficients = list(map(operator.rshift, shifted, itertools.repeat(_GUARD_BITS)))
@@ -349,7 +344,7 @@ def _round_fixed(totals: list[int], slack: int) -> list[int | None]:
     return coefficients
 
 
-def _fixed_factors(primes, steps: list[tuple[int, int]], slack: int):
+def _fixed_factors(primes, exponents: list[int]):
     """Yield the factors for ascending odd primes, correctly rounded, one list per block.
 
     The factor for p is the sum of w_k * p**-k over the nonzero weights
@@ -374,39 +369,33 @@ def _fixed_factors(primes, steps: list[tuple[int, int]], slack: int):
     a shift and a mask, and one min and one max of the remainders clear
     the whole block when no entry's window holds a rounding midpoint;
     otherwise the entries are tested one at a time.  An entry whose
-    window holds a midpoint is None, and rankin_density then divides
-    that factor out exactly with _exact_factor.  For p = 5 the factor
-    can be a terminating decimal such as 0.9504; its coefficient is then
-    that value padded with trailing zeros.
+    window holds a midpoint comes back from _round_fixed as None, and
+    _exact_factor rounds that factor from its exact fraction instead.
 
     Args:
         primes: ascending odd primes, any iterable.
-        steps: the (w, gap) steps of _fixed_steps(weights).
-        slack: len(weights), the half-width of the error window.
+        exponents: the allowed exponents, ascending, as
+            _apfree_exponents gives them.
 
     Yields:
         For each block of primes, the list of their factors' 50-digit
-        coefficients c, each factor being c * 10**-_DIGITS, or None.
+        coefficients c, each factor being c * 10**-_DIGITS.
 
     Raises:
         AssertionError: if a factor rounds outside [0.1, 1).
     """
+    weights = _fixed_weights(exponents)
+    steps, slack = _fixed_steps(weights), len(weights)
     primes = iter(primes)
     while block := list(itertools.islice(primes, _BLOCK)):
         coefficients = _round_fixed(_fixed_totals(block, steps), slack)
-        decided = coefficients
         if None in coefficients:
-            decided = [c for c in coefficients if c is not None]
-        if decided and (min(decided) not in _COEFFICIENTS or max(decided) not in _COEFFICIENTS):
-            p, c = next((p, c) for p, c in zip(block, coefficients)
-                        if c is not None and c not in _COEFFICIENTS)
+            coefficients = [_exact_factor(p, exponents) if c is None else c
+                            for p, c in zip(block, coefficients)]
+        if min(coefficients) not in _COEFFICIENTS or max(coefficients) not in _COEFFICIENTS:
+            p, c = next((p, c) for p, c in zip(block, coefficients) if c not in _COEFFICIENTS)
             raise AssertionError(f"factor for p={p} rounds to {c}, outside [0.1, 1)")
         yield coefficients
-
-
-def _coefficient(value: Decimal) -> int:
-    """The 50-digit coefficient of a 50-digit decimal in [0.1, 1)."""
-    return int(value.scaleb(_DIGITS, _CONTEXT))
 
 
 def rankin_density(max_prime: int = 10**6, max_exponent: int = 40) -> DensityEstimate:
@@ -417,16 +406,17 @@ def rankin_density(max_prime: int = 10**6, max_exponent: int = 40) -> DensityEst
     exactly n, so it matches summing proportion_exact_ppower(p, n) over
     allowed n.  Each odd-prime factor is the correctly rounded 50-digit
     value, computed a block of primes at a time (see ``_fixed_factors``)
-    from (w, gap) steps built once per call, and fed into a running
-    product in ascending prime order.  Dropping primes above max_prime
-    removes factors below 1, hence the truncated value approaches the
-    true density from above as max_prime grows.
+    and fed into a running product in ascending prime order.  Dropping
+    primes above max_prime removes factors below 1, hence the truncated
+    value approaches the true density from above as max_prime grows.
 
-    The running product is kept as its 50-digit integer coefficient.
-    Each step rounds coefficient * factor / 10**50 half-even, which is
-    what a 50-digit ``Decimal`` product does while the product stays in
-    [0.1, 1); a step that leaves it below 0.1 raises.  The ``Decimal``
-    value is built once, at the end.
+    The running product is kept as its 50-digit integer coefficient,
+    starting from the rounded p = 2 factor.  Each step rounds
+    coefficient * factor / 10**50 half-even, which is what a 50-digit
+    ``Decimal`` product does while the product stays in [0.1, 1); a
+    step that leaves it below 0.1 raises.  The ``Decimal`` value is
+    built once, at the end, from its digits, so the caller's decimal
+    context plays no part.
 
     Args:
         max_prime: largest odd prime kept, at least 3.
@@ -439,25 +429,18 @@ def rankin_density(max_prime: int = 10**6, max_exponent: int = 40) -> DensityEst
         raise ValueError(f"max_prime must be at least 3, got {max_prime}")
     if max_exponent < 1:
         raise ValueError(f"max_exponent must be at least 1, got {max_exponent}")
-    exponents = _apfree_exponents(max_exponent)
-    weights = _fixed_weights(exponents)
-    steps, slack = _fixed_steps(weights), len(weights)
-    even = rankin_even_factor(max_exponent)
     one, half, low = 10**_DIGITS, 10**_DIGITS // 2, 10 ** (_DIGITS - 1)
-    primes = _primes_upto(max_prime)
+    product = round(rankin_even_factor(max_exponent) * one)
+    odd_primes = _primes_upto(max_prime)[1:]
     factors = itertools.chain.from_iterable(
-        _fixed_factors(itertools.islice(primes, 1, None), steps, slack))
-    with decimal.localcontext(_CONTEXT):
-        product = _coefficient(Decimal(even.numerator) / Decimal(even.denominator))
-        for p, factor in zip(itertools.islice(primes, 1, None), factors):
-            if factor is None:
-                factor = _coefficient(_exact_factor(p, exponents))
-            product, rem = divmod(product * factor, one)
-            if product < low:
-                # Below 0.1 a 50-digit Decimal would keep a 51st place.
-                raise AssertionError(f"Rankin product fell below 0.1 at p={p}")
-            # Half-even: round up past the midpoint, and at it when odd.
-            if rem > half or (rem == half and product & 1):
-                product += 1
-    value = Decimal(product).scaleb(-_DIGITS, _CONTEXT)
+        _fixed_factors(odd_primes, _apfree_exponents(max_exponent)))
+    for p, factor in zip(odd_primes, factors):
+        product, rem = divmod(product * factor, one)
+        if product < low:
+            # Below 0.1 a 50-digit Decimal would keep a 51st place.
+            raise AssertionError(f"Rankin product fell below 0.1 at p={p}")
+        # Half-even: round up past the midpoint, and at it when odd.
+        if rem > half or (rem == half and product & 1):
+            product += 1
+    value = Decimal(f"{product}E-{_DIGITS}")
     return DensityEstimate(value=value, truncation=(max_prime, max_exponent))

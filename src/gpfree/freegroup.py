@@ -304,13 +304,19 @@ def _ones_places(digits: list[int]) -> list[int]:
     return [i + 1 for i, d in enumerate(digits) if d == 1]
 
 
-def _from_places(ones: set[int], twos: set[int]) -> int:
-    total = 0
-    for i in ones:
-        total += 3 ** (i - 1)
-    for i in twos:
-        total += 2 * 3 ** (i - 1)
-    return total
+def _spans(ones: list[int], start: int) -> set[int]:
+    """The places in [i_q, i_{q+1}) for q = start, start + 2, ..., from the 1-places ones."""
+    return {p for q in range(start, len(ones) - 1, 2) for p in range(ones[q], ones[q + 1])}
+
+
+def _twos(digits: list[int], places) -> set[int]:
+    """The places among places where digits has a 2."""
+    return {p for p in places if digits[p - 1] == 2}
+
+
+def _from_places(twos: set[int]) -> int:
+    """The number with digit 2 at the given 1-based places and 0 elsewhere."""
+    return sum(2 * 3 ** (p - 1) for p in twos)
 
 
 def witness_progression(n: int) -> tuple[int, int, int] | None:
@@ -357,43 +363,21 @@ def _positive_witness(n: int) -> tuple[int, int]:
     k = ones[-1]
     m = core % 3**k
     shift = core - m
-    mdigits = digits[:k]
-    mones = _ones_places(mdigits)
-    if len(mones) % 2:
-        b = _odd_core_midpoint(mdigits, mones)
+    # The midpoint keeps the lowest 1.
+    b = 3 ** (ones[0] - 1)
+    if len(ones) % 2:
+        # Odd number of 1-places: above the lowest 1, place a 2
+        # wherever the core has a 2 and across each interval
+        # [i_{2q}, i_{2q+1}).
+        b += _from_places(_twos(digits, range(ones[0] + 1, k)) | _spans(ones, 1))
         a, b = 2 * b - m + shift, b + shift
     else:
-        b = _even_core_midpoint(mdigits, mones)
+        # Even number of 1-places: place a 2 on every second upper
+        # 1-place i_3, i_5, ... and wherever the core has a 2 strictly
+        # inside a pair interval (i_{2q-1}, i_{2q}).
+        b += _from_places(set(ones[2::2]) | _twos(digits, _spans(ones, 0)))
         a = 2 * b - m - shift
     return (scale * a, scale * b)
-
-
-def _odd_core_midpoint(digits: list[int], ones: list[int]) -> int:
-    """Midpoint digits for a core with an odd number of 1-places.
-
-    Keep the lowest 1; above it, place a 2 wherever the core has a 2
-    and across each interval [i_{2q}, i_{2q+1}).
-    """
-    first = ones[0]
-    twos = {i + 1 for i, d in enumerate(digits) if d == 2 and i + 1 > first}
-    for q in range(1, len(ones), 2):
-        twos.update(range(ones[q], ones[q + 1]))
-    return _from_places({first}, twos)
-
-
-def _even_core_midpoint(digits: list[int], ones: list[int]) -> int:
-    """Midpoint digits for a core with an even number of 1-places.
-
-    Keep the lowest 1; place a 2 on every second upper 1-place i_3,
-    i_5, ... and wherever the core has a 2 strictly inside a pair
-    interval (i_{2q-1}, i_{2q}).
-    """
-    first = ones[0]
-    twos = set(ones[2::2])
-    for q in range(0, len(ones), 2):
-        lo, hi = ones[q], ones[q + 1]
-        twos.update(i + 1 for i, d in enumerate(digits) if d == 2 and lo < i + 1 < hi)
-    return _from_places({first}, twos)
 
 
 def _negative_witness(n: int) -> tuple[int, int]:
@@ -402,18 +386,13 @@ def _negative_witness(n: int) -> tuple[int, int]:
     if len(ones) % 2 == 0:
         # All core 2s survive; each pair interval [i_{2q-1}, i_{2q})
         # fills with 2s.
-        twos = {i + 1 for i, d in enumerate(digits) if d == 2}
-        for q in range(0, len(ones), 2):
-            twos.update(range(ones[q], ones[q + 1]))
+        twos = _twos(digits, range(1, len(digits) + 1)) | _spans(ones, 0)
     else:
         # The 1-places above i_1 pair as (i_2, i_3), (i_4, i_5), ...;
         # inside each pair interval every nonzero digit place is taken,
         # and borrow chains sweep the zero gaps.  Any 2 below i_1 is
         # taken as well, the lowest becoming the surviving 1 of the far
         # endpoint; with no such 2 the place i_1 itself survives.
-        twos = {i + 1 for i, d in enumerate(digits) if d == 2 and i + 1 < ones[0]}
-        for q in range(1, len(ones), 2):
-            lo, hi = ones[q], ones[q + 1]
-            twos.update(p for p in range(lo, hi) if digits[p - 1] != 0)
-    b = -_from_places(set(), twos)
+        twos = {p for p in _spans(ones, 1) if digits[p - 1]} | _twos(digits, range(1, ones[0]))
+    b = -_from_places(twos)
     return (2 * b - n, b)

@@ -199,17 +199,22 @@ class TestRankinDensity:
 
     @pytest.mark.parametrize("max_prime", [3, 5, 7, 11, 100, 1000])
     def test_matches_exact_factor_product(self, max_prime):
-        primes = [p for p in range(3, max_prime + 1) if is_prime(p)]
         for max_exponent in range(1, 41):
-            exponents = density._apfree_exponents(max_exponent)
-            even = rankin_even_factor(max_exponent)
-            with decimal.localcontext() as ctx:
-                ctx.prec = 50
-                product = Decimal(even.numerator) / Decimal(even.denominator)
-                for p in primes:
-                    product *= density._exact_factor(p, exponents)
-                expected = str(+product)
+            expected = str(decimal_product_oracle(max_prime, max_exponent))
             assert str(rankin_density(max_prime, max_exponent).value) == expected
+
+    def test_ignores_ambient_decimal_context(self):
+        # A narrower, truncating context must not round any factor or the product
+        expected = str(rankin_density(1000, 40).value)
+        with decimal.localcontext(decimal.Context(prec=5, rounding=decimal.ROUND_DOWN)):
+            assert str(rankin_density(1000, 40).value) == expected
+
+    def test_even_factor_coefficient_matches_decimal_division(self):
+        for max_exponent in range(1, 200):
+            even = rankin_even_factor(max_exponent)
+            with decimal.localcontext(DECIMAL_50):
+                expected = int((Decimal(even.numerator) / Decimal(even.denominator)).scaleb(50))
+            assert round(even * 10**density._DIGITS) == expected, max_exponent
 
 
 class TestIntegerProduct:
@@ -223,16 +228,16 @@ class TestIntegerProduct:
 
     @pytest.mark.parametrize("max_prime, max_exponent", [(5, 1), (1000, 13), (300, 40)])
     def test_exact_fallback_matches_decimal_product(self, monkeypatch, max_prime, max_exponent):
-        # Every factor then comes from _exact_factor, in both the
-        # product and the oracle, which reads _fixed_factors through it.
-        monkeypatch.setattr(density, "_fixed_factors", constant_blocks(None))
+        # No fixed-point total is decided, so every factor comes from _exact_factor
+        monkeypatch.setattr(density, "_round_fixed", lambda totals, slack: [None] * len(totals))
         expected = str(decimal_product_oracle(max_prime, max_exponent))
         assert str(rankin_density(max_prime, max_exponent).value) == expected
 
     def test_product_below_a_tenth_raises(self, monkeypatch):
         # A factor of 0.1 leaves a product below 0.1, where a 50-digit
         # Decimal would keep one more place than the coefficient holds
-        monkeypatch.setattr(density, "_fixed_factors", constant_blocks(10 ** (density._DIGITS - 1)))
+        tenth = 10 ** (density._DIGITS - 1)
+        monkeypatch.setattr(density, "_round_fixed", lambda totals, slack: [tenth] * len(totals))
         with pytest.raises(AssertionError):
             rankin_density(3, 1)
 
@@ -246,18 +251,37 @@ class TestPrimesUpto:
             assert density._primes_upto(limit) == primes[:bisect.bisect_right(primes, limit)]
 
 
+DECIMAL_50 = decimal.Context(prec=50, rounding=decimal.ROUND_HALF_EVEN)
+
+
+def decimal_factor(p, exponents):
+    """Oracle for _exact_factor: the factor as one exact fraction, divided in 50-digit Decimal."""
+    top = exponents[-1]
+    # Factor = sum over allowed n of p**-n - (p+1) * p**-(2n+2),
+    # cleared to the common denominator p**(2*top+2).
+    powers = [1] * (2 * top + 3)
+    for e in range(1, 2 * top + 3):
+        powers[e] = powers[e - 1] * p
+    num = 0
+    for n in exponents:
+        num += powers[2 * top + 2 - n] - (p + 1) * powers[2 * (top - n)]
+    with decimal.localcontext(DECIMAL_50):
+        return Decimal(num) / Decimal(powers[2 * top + 2])
+
+
+def decimal_coefficient(p, exponents):
+    """The 50-digit coefficient of decimal_factor, which lies in [0.1, 1)."""
+    return int(decimal_factor(p, exponents).scaleb(50, DECIMAL_50))
+
+
 def decimal_product_oracle(max_prime, max_exponent):
-    """Oracle for rankin_density: the running product multiplied in Decimal."""
+    """Oracle for rankin_density: every factor divided and multiplied in 50-digit Decimal."""
     exponents = density._apfree_exponents(max_exponent)
-    weights = density._fixed_weights(exponents)
     even = rankin_even_factor(max_exponent)
-    primes = density._primes_upto(max_prime)[1:]
-    with decimal.localcontext(density._CONTEXT):
+    with decimal.localcontext(DECIMAL_50):
         product = Decimal(even.numerator) / Decimal(even.denominator)
-        for p, factor in zip(primes, fixed_factors(primes, weights)):
-            if factor is None:
-                factor = density._exact_factor(p, exponents)
-            product *= factor
+        for p in density._primes_upto(max_prime)[1:]:
+            product *= decimal_factor(p, exponents)
         return +product
 
 
@@ -270,33 +294,39 @@ def exponent_lists():
     return sorted({tuple(density._apfree_exponents(m)) for m in range(1, 41)})
 
 
+@pytest.fixture
+def fixed_only(monkeypatch):
+    """Fail on any call to _exact_factor, so every factor is the fixed-point rounding's own."""
+    def fallback(p, exponents):
+        raise AssertionError(f"exact fallback for p={p}, exponents {exponents}")
+    monkeypatch.setattr(density, "_exact_factor", fallback)
+
+
 class TestFixedFactor:
     def assert_matches_exact(self, primes, exponent_lists):
-        with decimal.localcontext() as ctx:
-            ctx.prec = 50
-            for exponents in exponent_lists:
-                weights = density._fixed_weights(list(exponents))
-                for p, fixed in zip(primes, fixed_factors(primes, weights)):
-                    assert fixed is not None, (p, exponents)
-                    assert str(fixed) == str(density._exact_factor(p, list(exponents)))
+        for exponents in exponent_lists:
+            expected = [decimal_coefficient(p, list(exponents)) for p in primes]
+            assert fixed_factors(primes, exponents) == expected, exponents
 
-    def test_odd_primes_below_ten_thousand_every_exponent(self):
+    def test_odd_primes_below_ten_thousand_every_exponent(self, fixed_only):
         primes = [p for p in density._primes_upto(10**4) if p not in (2, 5)]
         self.assert_matches_exact(primes, exponent_lists())
 
-    def test_odd_primes_below_hundred_thousand(self):
+    def test_odd_primes_below_hundred_thousand(self, fixed_only):
         primes = [p for p in density._primes_upto(10**5) if p not in (2, 5)]
         self.assert_matches_exact(primes, [tuple(density._apfree_exponents(40))])
 
-    def test_prime_five_every_exponent(self):
-        # 5's factor is a terminating decimal, so the fixed-point form may
-        # carry trailing zeros the exact quotient drops: compare by value
-        with decimal.localcontext() as ctx:
-            ctx.prec = 50
-            for exponents in exponent_lists():
-                fixed = fixed_factor(5, density._fixed_weights(list(exponents)))
-                assert fixed is not None, exponents
-                assert fixed == density._exact_factor(5, list(exponents)), exponents
+    def test_prime_five_every_exponent(self, fixed_only):
+        # 5's factor can be a terminating decimal, which the Decimal
+        # quotient keeps short; its coefficient is the same value padded
+        self.assert_matches_exact([5], exponent_lists())
+
+    def test_exact_factor_matches_decimal_division(self):
+        primes = [*density._primes_upto(3000)[1:], 999_979, 999_983]
+        for exponents in exponent_lists():
+            for p in primes:
+                expected = decimal_coefficient(p, list(exponents))
+                assert density._exact_factor(p, list(exponents)) == expected, (p, exponents)
 
     def test_weights_sum_the_factor(self):
         exponents = density._apfree_exponents(13)
@@ -307,21 +337,18 @@ class TestFixedFactor:
             1 / p**n - (p + 1) / p ** (2 * n + 2) for n in exponents
         )
 
-    def test_prime_five_terminates(self):
+    def test_prime_five_terminates(self, fixed_only):
         # 1 - 1/5 - 1/25 + 1/5 - 1/125 - 1/625 is 0.9504 exactly, which the
-        # exact quotient keeps short and the fixed-point form pads to 50 places
-        with decimal.localcontext() as ctx:
-            ctx.prec = 50
-            exact = density._exact_factor(5, [0, 1])
-        fixed = fixed_factor(5, density._fixed_weights([0, 1]))
-        assert str(exact) == "0.9504"
-        assert fixed == exact and str(fixed) == "0.95040" + "0" * 45
+        # Decimal quotient keeps short and the coefficient pads to 50 places
+        assert str(decimal_factor(5, [0, 1])) == "0.9504"
+        assert fixed_factors([5], [0, 1]) == [9504 * 10**46]
 
     @pytest.mark.parametrize("weights", [[1], [0]], ids=["one", "zero"])
-    def test_coefficient_outside_fifty_digits_raises(self, weights):
+    def test_coefficient_outside_fifty_digits_raises(self, monkeypatch, weights):
         # factors 1 and 0 round to 10**50 and 0, which have no 50-digit form
-        with pytest.raises(AssertionError):
-            fixed_factor(3, weights)
+        monkeypatch.setattr(density, "_fixed_weights", lambda exponents: weights)
+        with pytest.raises(AssertionError, match="outside"):
+            fixed_factors([3], [0])
 
     def test_steps_keep_nonzero_weights(self):
         weights = density._fixed_weights(density._apfree_exponents(40))
@@ -356,19 +383,26 @@ class TestFixedFactor:
         monkeypatch.setattr(density, "_fixed_factors", recorded)
         monkeypatch.setattr(density, "_exact_factor", lambda *a: exact_calls.append(a) or exact(*a))
         rankin_density()
-        coefficients = list(itertools.chain.from_iterable(blocks))
-        assert len(coefficients) == 78_497 and None not in coefficients
+        assert sum(map(len, blocks)) == 78_497
         assert exact_calls == []
 
 
 class TestFixedFactorBlocks:
     @pytest.mark.parametrize("share", [None, 16, 4], ids=["default", "wide", "wider"])
-    def test_blocks_straddling_step_thresholds_match_oracle(self, share):
+    def test_blocks_straddling_step_thresholds_match_oracle(self, monkeypatch, share):
         # T_k = floor(_SCALE / p**k) first reads 0 where p passes the k-th
         # root of _SCALE, so each block below mixes primes whose k-th term
         # is 0 with primes whose term is not.  A slack of _UNIT / share
         # flags about 2 / share of the entries, so the wider slacks also
-        # mix decided entries with undecidable ones in one block.
+        # mix decided entries with undecidable ones, which _exact_factor
+        # then rounds, in one block.
+        round_fixed, rounded = density._round_fixed, []
+
+        def recorded(totals, slack):
+            rounded.append(round_fixed(totals, slack if share is None else density._UNIT // share))
+            return rounded[-1]
+
+        monkeypatch.setattr(density, "_round_fixed", recorded)
         blocks = set()
         for k in range(3, 84):
             root = integer_root(density._SCALE, k)
@@ -376,13 +410,14 @@ class TestFixedFactorBlocks:
         entries = []
         for exponents in exponent_lists():
             weights = density._fixed_weights(list(exponents))
-            steps = density._fixed_steps(weights)
             slack = len(weights) if share is None else density._UNIT // share
             for block in sorted(blocks):
-                (got,) = density._fixed_factors(block, steps, slack)
+                (got,) = density._fixed_factors(block, list(exponents))
                 expected = [round_fixed_oracle(dense_fixed_total(p, weights), slack) for p in block]
-                assert got == expected, (block, exponents, slack)
-                entries += got
+                assert rounded[-1] == expected, (block, exponents, slack)
+                assert got == [decimal_coefficient(p, list(exponents)) if c is None else c
+                               for p, c in zip(block, expected)], (block, exponents, slack)
+                entries += expected
         undecided = entries.count(None)
         if share is None:
             assert undecided == 0
@@ -431,26 +466,9 @@ class TestRoundFixed:
             assert density._round_fixed([total], slack) == [round_fixed_oracle(total, slack)]
 
 
-def fixed_factors(primes, weights):
-    """_fixed_factors as 50-digit Decimals, one per prime, or None where it falls back."""
-    blocks = density._fixed_factors(primes, density._fixed_steps(weights), len(weights))
-    return [None if c is None else Decimal(c).scaleb(-density._DIGITS, density._CONTEXT)
-            for c in itertools.chain.from_iterable(blocks)]
-
-
-def fixed_factor(p, weights):
-    """The factor of fixed_factors for the single prime p."""
-    (factor,) = fixed_factors([p], weights)
-    return factor
-
-
-def constant_blocks(coefficient):
-    """A stand-in for _fixed_factors that gives every prime the same coefficient."""
-    def fixed_factors(primes, steps, slack):
-        primes = iter(primes)
-        while block := list(itertools.islice(primes, density._BLOCK)):
-            yield [coefficient] * len(block)
-    return fixed_factors
+def fixed_factors(primes, exponents):
+    """The coefficients _fixed_factors yields, one per prime, across its blocks."""
+    return list(itertools.chain.from_iterable(density._fixed_factors(primes, list(exponents))))
 
 
 def dense_fixed_total(p, weights):

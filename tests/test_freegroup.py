@@ -5,6 +5,8 @@ the greedy integer set against a from-scratch re-run of the greedy
 process, so the closed forms never test themselves.
 """
 
+import hashlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -249,6 +251,16 @@ class TestWitnesses:
         for n in range(3**5, 3**7 + 1):
             witness_progression(n)
             witness_progression(-n)
+
+    def test_pinned_witness_digest(self):
+        # Recorded before the digit cases shared _spans and _twos: every
+        # |n| <= 3**7 and a seeded sample up to 3**30, one "n (a, b, r)"
+        # or "n None" line each.
+        rng = random.Random(20261019)
+        ns = [*range(-(3**7), 3**7 + 1), *(rng.randint(-(3**30), 3**30) for _ in range(2000))]
+        text = "\n".join(f"{n} {witness_progression(n)}" for n in ns)
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == "bf2f566ce984694881a076dce2fa881d77049f4b6eaa078ce0b1a898007b0ba1"
 
 
 class TestGreedyWords:

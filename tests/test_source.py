@@ -1,6 +1,7 @@
 """Checks on the package source itself, read as syntax trees."""
 
 import ast
+import importlib
 import sys
 from pathlib import Path
 
@@ -13,6 +14,14 @@ MODULES = sorted(Path(gpfree.__file__).parent.glob("*.py"))
 
 def test_modules_found():
     assert "quaternion.py" in {path.name for path in MODULES}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_all_names_defined(path):
+    # perfbench's tracer wraps exactly the names in each module's __all__.
+    module = gpfree if path.stem == "__init__" else importlib.import_module(f"gpfree.{path.stem}")
+    missing = [name for name in module.__all__ if not hasattr(module, name)]
+    assert missing == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
