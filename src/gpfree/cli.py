@@ -57,12 +57,15 @@ from .quaternion import enumerate_norm
 __all__ = ["main", "run"]
 
 
+# Printed decimals round and render in this context, never the caller's,
+# so an in-process caller's rounding, traps or capitals cannot change them.
+_SIG12 = decimal.Context(prec=12, rounding=decimal.ROUND_HALF_EVEN)
+
+
 def _sig12(value: Fraction | Decimal) -> str:
-    with decimal.localcontext() as ctx:
-        ctx.prec = 12
-        if isinstance(value, Decimal):
-            return str(+value)
-        return str(Decimal(value.numerator) / Decimal(value.denominator))
+    if isinstance(value, Decimal):
+        return _SIG12.to_sci_string(_SIG12.plus(value))
+    return _SIG12.to_sci_string(_SIG12.divide(Decimal(value.numerator), Decimal(value.denominator)))
 
 
 def _exact(value: Fraction) -> dict:

@@ -10,7 +10,7 @@ even-length words only, and pulling it back through the isomorphism
 a clean base-3 digit description with an explicit arithmetic
 progression witnessing every exclusion.
 
-The two brute-force greedies count progressions differently.
+The two greedies count progressions differently.
 ``greedy_set_bruteforce`` counts only arithmetic progressions of three
 distinct integers, which in the integers means every nonzero
 difference.  ``greedy_words_bruteforce`` also counts (w, I, w):
@@ -206,6 +206,33 @@ def greedy_set_contains(n: int) -> bool:
     return True
 
 
+class _Blocked:
+    """A greedy three-term-progression-free set of integers, with what it blocks.
+
+    Candidates must come in order of nondecreasing absolute value.
+    ``blocked`` holds every c that ends a progression of three distinct
+    terms with two kept integers a != z: c = 2z - a and c = 2a - z.  So
+    a candidate costs one membership test, and keeping z adds both
+    families for every integer kept before it in one set update each.
+    A candidate c is never the middle term of two kept a != e, because
+    |c| = |a + e| / 2 < max(|a|, |e|) would put one of them after c in
+    the order, so no midpoints are blocked.
+    """
+
+    __slots__ = ("kept", "blocked", "_doubled")
+
+    def __init__(self):
+        self.kept: list[int] = []
+        self.blocked: set[int] = set()
+        self._doubled: list[int] = []  # 2a for each kept a
+
+    def keep(self, z: int) -> None:
+        self.blocked.update(map((2 * z).__sub__, self.kept))
+        self.blocked.update(map((-z).__add__, self._doubled))
+        self.kept.append(z)
+        self._doubled.append(2 * z)
+
+
 def greedy_set_bruteforce(max_abs: int) -> set[int]:
     """Greedy three-term-progression-free subset of [-max_abs, max_abs].
 
@@ -216,24 +243,11 @@ def greedy_set_bruteforce(max_abs: int) -> set[int]:
     """
     if max_abs < 0:
         raise ValueError(f"max_abs must be nonnegative, got {max_abs}")
-    chosen: set[int] = set()
-    for idx in range(1, 2 * max_abs + 2):
-        z = alt_order_value(idx)
-        if not _completes_ap(z, chosen):
-            chosen.add(z)
-    return chosen
-
-
-def _completes_ap(z: int, chosen: set[int]) -> bool:
-    for b in chosen:
-        # z as an endpoint with middle term b: the far end is 2b - z.
-        if b != z and 2 * b - z in chosen:
-            return True
-    for a in chosen:
-        # z as the middle term.
-        if a != z and 2 * z - a in chosen:
-            return True
-    return False
+    state = _Blocked()
+    for z in map(alt_order_value, range(1, 2 * max_abs + 2)):
+        if z not in state.blocked:
+            state.keep(z)
+    return set(state.kept)
 
 
 def greedy_words_bruteforce(max_len: int) -> set[Word]:
@@ -245,38 +259,38 @@ def greedy_words_bruteforce(max_len: int) -> set[Word]:
     division, so terms of any length can appear, but both partner terms
     must already be kept (or coincide with w).  Progressions with a
     repeated term count too (see the module docstring).
+
+    The greedy runs on integer coordinates.  With t = xy, every word is
+    t**m * x**s for one type s in {0, 1}; since x * t * x = t**-1, an
+    odd word is its own inverse.  Give each word the signed length
+    n = +length when it leads with x and -length when it leads with y:
+    then n = 2m + s, the even words are t**(n/2), x-led odd words are
+    t**k * x with n = 2k + 1 and y-led ones are t**-(k+1) * x with
+    n = -(2k + 1).  The enumeration order is the order 0, 1, -1, 2, -2,
+    ... of n, in which |m| never decreases within a type.
+
+    The progression tests reduce as follows.  A progression with terms
+    w and a kept b != w has its third term b * w**-1 * b (w first or
+    last) or w * b**-1 * w (w in the middle), and w is excluded when
+    that term lies in the kept set plus w.
+    - Same type, b = t**a * x**s and w = t**z * x**s: the two products
+      are t**(2a - z) * x**s and t**(2z - a) * x**s.  Neither equals w,
+      so these are exactly the arithmetic-progression tests on m among
+      the kept words of type s, which ``_Blocked`` answers.
+    - Opposite types: b * w**-1 * b = w and w * b**-1 * w = b, so
+      (w, b, w) is a progression with a repeated term.  One kept word
+      of the other type excludes w.
+    The identity is kept first, so no odd word is ever kept.
     """
     if max_len < 0:
         raise ValueError(f"max_len must be nonnegative, got {max_len}")
-    chosen: set[Word] = set()
-    idx = 1
-    while True:
-        w = word_at(idx)
-        idx += 1
-        if w.length > max_len:
-            break
-        if not _completes_gp(w, chosen):
-            chosen.add(w)
-    return chosen
-
-
-def _completes_gp(w: Word, chosen: set[Word]) -> bool:
-    winv = w.inverse()
-    pool = chosen | {w}
-    for b in pool:
-        binv = b.inverse()
-        # w last: progression (b * r**-1, b, w) with r = b**-1 * w.
-        r = word_mul(binv, w)
-        if r.length and word_mul(b, r.inverse()) in pool:
-            return True
-        # w middle: progression (b, w, w * r) with r = b**-1 * w.
-        if r.length and word_mul(w, r) in pool:
-            return True
-        # w first: progression (w, b, b * r) with r = w**-1 * b.
-        r = word_mul(winv, b)
-        if r.length and word_mul(b, r) in pool:
-            return True
-    return False
+    states = (_Blocked(), _Blocked())
+    for n in map(alt_order_value, range(1, 2 * max_len + 2)):
+        s, m = n & 1, n >> 1
+        if not states[1 - s].kept and m not in states[s].blocked:
+            states[s].keep(m)
+    signed = [2 * m + s for s, state in enumerate(states) for m in state.kept]
+    return {Word("x", n) if n > 0 else Word("y", -n) if n < 0 else IDENTITY for n in signed}
 
 
 def greedy_words_density(n: int) -> Fraction:

@@ -1,5 +1,6 @@
 """End-to-end command tests driven through run() in process."""
 
+import decimal
 import hashlib
 import json
 import os
@@ -128,6 +129,32 @@ class TestBounds:
         _, first = invoke(capsys, "bounds")
         _, second = invoke(capsys, "bounds")
         assert first == second
+
+
+class TestCallerDecimalContext:
+    # run() called in process must print the same decimals whatever
+    # decimal context its caller has set.
+    def test_rounding_mode(self, capsys):
+        # 20/21 = 0.95238095238095...: half-even gives ...381, ROUND_DOWN ...380.
+        with decimal.localcontext() as ctx:
+            ctx.rounding = decimal.ROUND_DOWN
+            code, payload = invoke_json(capsys, "bounds")
+        assert code == 0
+        assert payload["upper"]["decimal"] == "0.952380952381"
+
+    def test_inexact_trap(self, capsys):
+        with decimal.localcontext() as ctx:
+            ctx.traps[decimal.Inexact] = True
+            code, payload = invoke_json(capsys, "bounds")
+        assert code == 0
+        assert payload["upper"]["decimal"] == "0.952380952381"
+
+    def test_exponent_capitals(self, capsys):
+        with decimal.localcontext() as ctx:
+            ctx.capitals = 0
+            code, payload = invoke_json(capsys, "freegroup", "density", "--n", "50")
+        assert code == 0
+        assert payload["integers"]["decimal"] == "1.56832854548E-9"
 
 
 class TestRankin:
@@ -320,6 +347,9 @@ class TestPinnedBytes:
         ("greedy-hur --max-norm 20 --emit csv",
          "9bf3c9109febe56d619b1626156d340c90831df361ea20037c2a287d10bc002e"),
         ("freegroup greedy", "21a0f63c8ce8a9b87975d831fed086ded1b114337f5605ee072815be02ec5cda"),
+        # recorded before the word greedy ran on blocked sets of coordinates
+        ("freegroup greedy --max-len 486",
+         "483d50a8700c8db5652a4939dd6b1f575351e6e24def3a406aa022569d4651db"),
         ("freegroup density", "1d235c89792ecd341ae2e1c18d824ced313b6a0c1e7683211a08403e6e346349"),
         ("freegroup witness --n 95",
          "0952eb914f6d64054887bc886320e1cf986362789bd14a4a7689064a8e786033"),

@@ -2,9 +2,12 @@
 
 Multiplication is cross-checked against a literal string rewriter and
 the greedy integer set against a from-scratch re-run of the greedy
-process, so the closed forms never test themselves.
+process, so the closed forms never test themselves.  The blocked-set
+greedies are compared with element-by-element greedies that rescan the
+kept set for every candidate, the words through word_mul.
 """
 
+import functools
 import hashlib
 import random
 from fractions import Fraction
@@ -78,6 +81,60 @@ def greedy_integers_reference(max_abs):
             if ok:
                 chosen.append(z)
     return set(chosen)
+
+
+def _completes_ap(z, chosen):
+    for b in chosen:
+        # z as an endpoint with middle term b: the far end is 2b - z.
+        if b != z and 2 * b - z in chosen:
+            return True
+    for a in chosen:
+        # z as the middle term.
+        if a != z and 2 * z - a in chosen:
+            return True
+    return False
+
+
+@functools.cache
+def oracle_integers(max_abs):
+    """The integer greedy, testing each candidate against every kept pair."""
+    chosen = set()
+    for idx in range(1, 2 * max_abs + 2):
+        z = alt_order_value(idx)
+        if not _completes_ap(z, chosen):
+            chosen.add(z)
+    return frozenset(chosen)
+
+
+def _completes_gp(w, chosen):
+    winv = w.inverse()
+    pool = chosen | {w}
+    for b in pool:
+        binv = b.inverse()
+        # w last: progression (b * r**-1, b, w) with r = b**-1 * w.
+        r = word_mul(binv, w)
+        if r.length and word_mul(b, r.inverse()) in pool:
+            return True
+        # w middle: progression (b, w, w * r) with r = b**-1 * w.
+        if r.length and word_mul(w, r) in pool:
+            return True
+        # w first: progression (w, b, b * r) with r = w**-1 * b.
+        r = word_mul(winv, b)
+        if r.length and word_mul(b, r) in pool:
+            return True
+    return False
+
+
+@functools.cache
+def oracle_words(max_len):
+    """The word greedy, multiplying each candidate with every kept word."""
+    chosen = set()
+    idx = 1
+    while (w := word_at(idx)).length <= max_len:
+        idx += 1
+        if not _completes_gp(w, chosen):
+            chosen.add(w)
+    return frozenset(chosen)
 
 
 class TestWord:
@@ -280,6 +337,28 @@ class TestGreedyWords:
             assert evens == kept  # greedy never keeps an odd word
             image = {even_word_to_int(w) for w in evens}
             assert image == greedy_set_bruteforce(3**n)
+
+
+class TestBlockedGreediesMatchOracles:
+    # The greedies decide in order of |z| and of word length, so a run to
+    # a smaller bound keeps exactly the oracle's prefix.
+    def test_integer_prefixes(self):
+        oracle = oracle_integers(3**7)
+        for m in range(3**5 + 1):
+            assert greedy_set_bruteforce(m) == {z for z in oracle if abs(z) <= m}, m
+
+    @pytest.mark.parametrize("max_abs", [3**6, 3**7])
+    def test_integers_in_full(self, max_abs):
+        assert greedy_set_bruteforce(max_abs) == oracle_integers(max_abs)
+
+    def test_word_prefixes(self):
+        oracle = oracle_words(2 * 3**6)
+        for max_len in range(2 * 3**5 + 1):
+            expected = {w for w in oracle if w.length <= max_len}
+            assert greedy_words_bruteforce(max_len) == expected, max_len
+
+    def test_words_in_full(self):
+        assert greedy_words_bruteforce(2 * 3**6) == oracle_words(2 * 3**6)
 
 
 class TestDensities:
