@@ -3,8 +3,10 @@
 The number of elements of norm N is 24 times the sum of the odd
 divisors of N.  Everything in this module is exact integer or rational
 arithmetic built on that formula; the lattice enumeration that confirms
-it lives in :mod:`gpfree.quaternion`.  The integer factorization and
-prime test here are the only ones in the package.
+it lives in :mod:`gpfree.quaternion`.  The integer factorization, the
+prime test and the prime sieve here are the only ones in the package;
+``factorize`` and :mod:`gpfree.density`'s Euler product both take their
+primes from ``_primes_upto``.
 """
 
 from __future__ import annotations
@@ -29,12 +31,55 @@ __all__ = [
 ]
 
 
+def _primes_upto(limit: int) -> list[int]:
+    """Primes up to limit, ascending, by a sieve over the odd numbers only.
+
+    Index i of the sieve stands for 2i + 1, so the odd multiples of an
+    odd prime p from p*p on sit at the indices p*p // 2 + k*p.
+    """
+    if limit < 2:
+        return []
+    sieve = bytearray([1]) * ((limit + 1) // 2)
+    sieve[0] = 0
+    for i in range(1, (math.isqrt(limit) + 1) // 2):
+        if sieve[i]:
+            p = 2 * i + 1
+            start = p * p // 2
+            sieve[start::p] = bytes(len(range(start, len(sieve), p)))
+    return [2, *itertools.compress(range(1, limit + 1, 2), sieve)]
+
+
+# factorize's trial divisors: the odd primes up to _odd_primes_limit,
+# which grows to the largest square root asked for, up to _ODD_PRIMES_CAP.
+# The list is replaced on growth, never changed in place, and before the
+# limit is raised; a caller that still gets a shorter list stays correct,
+# since factorize goes on past its last prime.
+_ODD_PRIMES_CAP = 1 << 16
+_odd_primes = [3]
+_odd_primes_limit = 3
+
+
+def _odd_primes_covering(root: int) -> list[int]:
+    """The odd primes up to min(root, _ODD_PRIMES_CAP) or further, ascending."""
+    global _odd_primes, _odd_primes_limit
+    limit = min(root, _ODD_PRIMES_CAP)
+    if limit > _odd_primes_limit:
+        _odd_primes = _primes_upto(limit)[1:]
+        _odd_primes_limit = limit
+    return _odd_primes
+
+
 def factorize(n: int):
     """Yield the prime factorization of n as (p, e) pairs by ascending p.
 
     A generator, so a caller that stops early (a prime test at the first
     factor, a membership test at the first bad exponent) pays only for
-    the trial division up to that factor.
+    the trial division up to that factor.  The odd trial divisors come
+    from a shared table of odd primes, sieved by ``_primes_upto`` and
+    grown on demand to the largest square root asked for so far, up to
+    2**16; so any n < 2**32 is factored from the table alone.  Past the
+    last prime of the table the generator holds, trial division goes on
+    over the odd numbers after that prime.
 
     Raises:
         ValueError: if n < 1.
@@ -45,15 +90,29 @@ def factorize(n: int):
     if twos:
         yield 2, twos
         n >>= twos
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    root = math.isqrt(n)
+    primes = _odd_primes_covering(root)
+    for p in primes:
+        if p > root:
+            break
+        if n % p == 0:
             e = 0
-            while n % f == 0:
-                n //= f
+            while n % p == 0:
+                n //= p
                 e += 1
-            yield f, e
-        f += 2
+            yield p, e
+            root = math.isqrt(n)
+    else:
+        f = primes[-1] + 2
+        while f <= root:
+            if n % f == 0:
+                e = 0
+                while n % f == 0:
+                    n //= f
+                    e += 1
+                yield f, e
+                root = math.isqrt(n)
+            f += 2
     if n > 1:
         yield n, 1
 

@@ -7,19 +7,19 @@ Hurwitz integers whose norm is a Rankin integer, meaning every prime
 exponent of the norm avoids the digit 2 in base 3.  Bounds are exact
 rationals.  The Euler product is a 50-digit integer coefficient,
 rounded half-even at each step, of correctly rounded factors computed a
-block of primes at a time (see ``_fixed_factors``).
+block of primes at a time (see ``_fixed_factors``), over the odd primes
+of :mod:`gpfree.counting`'s sieve, ``_primes_upto``.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 
-from .counting import factorize
+from .counting import _primes_upto, factorize
 
 __all__ = [
     "AnnuliSpec",
@@ -224,24 +224,6 @@ def rankin_even_factor(max_exponent: int) -> Fraction:
         (Fraction(3, 4 ** (n + 1)) for n in _apfree_exponents(max_exponent)),
         Fraction(0),
     )
-
-
-def _primes_upto(limit: int) -> list[int]:
-    """Primes up to limit, ascending, by a sieve over the odd numbers only.
-
-    Index i of the sieve stands for 2i + 1, so the odd multiples of an
-    odd prime p from p*p on sit at the indices p*p // 2 + k*p.
-    """
-    if limit < 2:
-        return []
-    sieve = bytearray([1]) * ((limit + 1) // 2)
-    sieve[0] = 0
-    for i in range(1, (math.isqrt(limit) + 1) // 2):
-        if sieve[i]:
-            p = 2 * i + 1
-            start = p * p // 2
-            sieve[start::p] = bytes(len(range(start, len(sieve), p)))
-    return [2, *itertools.compress(range(1, limit + 1, 2), sieve)]
 
 
 # Odd-prime factors lie in [5/9, 1), so 50 significant digits are 50

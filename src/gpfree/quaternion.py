@@ -160,8 +160,11 @@ def _norm_rows(norm: int) -> Iterator[tuple[int, int, list[tuple[int, int]]]]:
 
     The one norm-class scan: (da, db) runs lexicographically over
     same-parity pairs, and row is the ``_pairs`` list of the (dc, dd)
-    that complete it to doubled norm 4 * norm, already sorted.  Every
-    (da, db, dc, dd) glued this way shares one parity (see ``_pairs``).
+    that complete it to doubled norm 4 * norm, already sorted.  Only
+    non-empty rows are yielded: most pairs leave a remainder that is not
+    a sum of two squares, and skipping them here spares each caller a
+    generator resume per empty row.  Every (da, db, dc, dd) glued this
+    way shares one parity (see ``_pairs``).
     """
     target = 4 * norm
     _extend_pair_table(target)
@@ -171,7 +174,9 @@ def _norm_rows(norm: int) -> Iterator[tuple[int, int, list[tuple[int, int]]]]:
         lim = math.isqrt(rest)
         # db runs over the values of da's parity in [-lim, lim].
         for db in range(-lim + ((lim ^ da) & 1), lim + 1, 2):
-            yield da, db, _pairs[rest - db * db]
+            row = _pairs[rest - db * db]
+            if row:
+                yield da, db, row
 
 
 def _norm_coords(norm: int) -> Iterator[tuple[int, int, int, int]]:

@@ -5,7 +5,7 @@ from collections.abc import ValuesView
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from gpfree import counting
@@ -88,6 +88,98 @@ def test_factorize_small_values():
 def test_factorize_rejects_nonpositive(n):
     with pytest.raises(ValueError):
         next(factorize(n))
+
+
+def factorize_oracle(n):
+    """Oracle for factorize: trial division by every odd number, with no prime table."""
+    twos = (n & -n).bit_length() - 1
+    if twos:
+        yield 2, twos
+        n >>= twos
+    f = 3
+    while f * f <= n:
+        if n % f == 0:
+            e = 0
+            while n % f == 0:
+                n //= f
+                e += 1
+            yield f, e
+        f += 2
+    if n > 1:
+        yield n, 1
+
+
+# The last prime below the table's cap of 2**16 and the first two above it.
+AROUND_CAP = (65521, 65537, 65539)
+
+
+@pytest.fixture(params=[65537**2, 10**4], ids=["grown-large", "grown-small"])
+def prime_table(request, monkeypatch):
+    """factorize's prime table, reset to its start, then grown first by a large or a small n."""
+    monkeypatch.setattr(counting, "_odd_primes", [3])
+    monkeypatch.setattr(counting, "_odd_primes_limit", 3)
+    list(factorize(request.param))
+
+
+class TestFactorizeOracle:
+    def test_every_n_to_20000(self, prime_table):
+        for n in range(1, 20_001):
+            assert list(factorize(n)) == list(factorize_oracle(n)), n
+
+    def test_products_around_the_cap(self, prime_table):
+        primes = (3, 251, 65519, *AROUND_CAP)
+        values = [p * p for p in primes]
+        values += [p * q for p in primes for q in primes if p < q]
+        values += [p << k for p in primes for k in (1, 5, 16, 40)]
+        values += [2**32 + d for d in range(-20, 21)]
+        for n in values:
+            assert list(factorize(n)) == list(factorize_oracle(n)), n
+
+    @settings(deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.integers(min_value=1, max_value=10**11))
+    def test_hypothesis_draws(self, prime_table, n):
+        assert list(factorize(n)) == list(factorize_oracle(n))
+
+    def test_table_grows_to_the_largest_root(self, monkeypatch):
+        monkeypatch.setattr(counting, "_odd_primes", [3])
+        monkeypatch.setattr(counting, "_odd_primes_limit", 3)
+        root = math.isqrt(10**9 + 7)
+        list(factorize(10**9 + 7))
+        assert counting._odd_primes_limit == root
+        assert counting._odd_primes == counting._primes_upto(root)[1:]
+        list(factorize(10**6 + 3))
+        assert counting._odd_primes_limit == root
+        list(factorize(65537**2))
+        assert counting._odd_primes_limit == 2**16
+        assert counting._odd_primes[-1] == 65521
+
+    def test_suspended_generator_keeps_its_table(self, monkeypatch):
+        # A generator that started on a short table finishes on it, with
+        # the same pairs, while another call grows the table.
+        monkeypatch.setattr(counting, "_odd_primes", [3])
+        monkeypatch.setattr(counting, "_odd_primes_limit", 3)
+        n = 3 * 5 * 7 * 11 * 13 * 97
+        scan = factorize(n)
+        head = [next(scan), next(scan)]
+        list(factorize(65539**2))
+        assert head + list(scan) == list(factorize_oracle(n))
+
+    def test_short_table_goes_on_over_odd_numbers(self, monkeypatch):
+        # A table shorter than its recorded limit, as a thread may read
+        # while another replaces the table, still factors correctly: trial
+        # division goes on from the last prime held, not from the limit.
+        monkeypatch.setattr(counting, "_odd_primes", [3, 5, 7])
+        monkeypatch.setattr(counting, "_odd_primes_limit", 2**16)
+        for n in (11 * 13 * 65537, 65521 * 65537, 3 * 65539**2, 2**32 + 15):
+            assert list(factorize(n)) == list(factorize_oracle(n)), n
+
+
+def test_is_rational_prime_around_the_cap():
+    assert is_rational_prime(65521)
+    assert not is_rational_prime(65535)
+    assert is_rational_prime(65537)
+    assert is_rational_prime(2**31 - 1)
 
 
 def test_is_rational_prime_matches_sieve():

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gpfree import quaternion
 from gpfree.counting import factorize
 from gpfree.greedy import build_greedy
 from gpfree.quaternion import (
@@ -23,6 +24,7 @@ from gpfree.quaternion import (
     ModelledFactorization,
     _collector_paused,
     _norm_coords,
+    _norm_rows,
     enumerate_norm,
     factor_modelled,
     is_gp_triple,
@@ -166,6 +168,18 @@ class TestArithmetic:
         assert (a == ZERO) == a.is_zero()
 
 
+def unfiltered_norm_rows(norm):
+    """Oracle for _norm_rows: the same scan, with every same-parity (da, db), empty rows too."""
+    target = 4 * norm
+    quaternion._extend_pair_table(target)
+    top = math.isqrt(target)
+    for da in range(-top, top + 1):
+        rest = target - da * da
+        lim = math.isqrt(rest)
+        for db in range(-lim + ((lim ^ da) & 1), lim + 1, 2):
+            yield da, db, quaternion._pairs[rest - db * db]
+
+
 class TestEnumeration:
     @pytest.mark.parametrize("n", range(1, 16))
     def test_matches_brute_force(self, n):
@@ -200,6 +214,14 @@ class TestEnumeration:
         head = list(itertools.islice(scan, 100))
         assert len(enumerate_norm(4099)) == 24 * 4100
         assert head + list(scan) == expected
+
+    @pytest.mark.parametrize("norms", [range(1, 301), [2**k for k in range(12)]],
+                             ids=["1-300", "powers-of-2"])
+    def test_rows_are_the_non_empty_unfiltered_rows(self, norms):
+        for n in norms:
+            rows = list(_norm_rows(n))
+            assert rows == [(da, db, row) for da, db, row in unfiltered_norm_rows(n) if row]
+            assert all(row for _, _, row in rows)
 
     def test_unvalidated_build_matches_constructor(self):
         # enumerate_norm builds its elements without the constructor's
