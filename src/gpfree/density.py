@@ -14,6 +14,7 @@ of :mod:`gpfree.counting`'s sieve, ``_primes_upto``.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from decimal import Decimal
@@ -44,6 +45,10 @@ class AnnuliSpec:
     grow as M' = w * w * M * M starting from 1, where w is the widest
     ratio lo, fast enough that blocks at different scales can never
     interact.
+
+    Raises:
+        ValueError: unless interval_ratios holds at least one pair and
+            each pair is a tuple of two ints lo > hi >= 1.
     """
 
     interval_ratios: tuple[tuple[int, int], ...] = (
@@ -54,6 +59,14 @@ class AnnuliSpec:
         (9, 8),
         (4, 1),
     )
+
+    def __post_init__(self):
+        if not self.interval_ratios:
+            raise ValueError("interval_ratios must hold at least one (lo, hi) pair")
+        for pair in self.interval_ratios:
+            if not (isinstance(pair, tuple) and len(pair) == 2
+                    and all(isinstance(r, int) for r in pair) and pair[0] > pair[1] >= 1):
+                raise ValueError(f"interval ratio {pair!r} is not a pair of ints lo > hi >= 1")
 
     def scales_upto(self, max_norm: int):
         """Yield block scales M whose annuli can meet [1, max_norm]."""
@@ -132,11 +145,28 @@ def _kept_mask(max_norm: int, spec: AnnuliSpec) -> bytearray:
 def verify_annuli_gp_free(max_norm: int, spec: AnnuliSpec = DEFAULT_ANNULI) -> bool:
     """Brute-force check that the kept norms contain no geometric triple.
 
-    Scans every (n, n*k, n*k**2) with integer ratio k >= 2 and all three
-    terms at most max_norm; returns False on the first triple whose
-    members are all kept.  A set of norms with no such integer-ratio
-    triple supports a progression-free set of quaternions, since any
-    quaternion progression forces exactly this pattern on norms.
+    Tests every (n, n*k, n*k**2) with integer ratio k >= 2 and all three
+    terms at most max_norm; returns False if some triple has all its
+    members kept.  A set of norms with no such integer-ratio triple
+    supports a progression-free set of quaternions, since any quaternion
+    progression forces exactly this pattern on norms.
+
+    The scan runs one ratio at a time.  For ratio k the admissible n are
+    1..m with m = max_norm // k**2, and the strided views kept[1:m+1],
+    kept[k:k*m+1:k] and kept[k*k:k*k*m+1:k*k] hold the flags of n, n*k
+    and n*k**2 at the same byte offset n - 1.  Each view is read as one
+    little-endian integer and the three are ANDed, so a nonzero result
+    is a kept triple; the two far views are skipped when the first is
+    all zero.  This is exact only because the mask holds 0/1 bytes: with
+    other nonzero values two flags could share no bit.  Each view spans
+    about 0.65 * max_norm bytes over all k (the sum of max_norm / k**2
+    over k >= 2), handled in C in place of a Python step per pair.
+
+    Every kept norm of DEFAULT_ANNULI is at most 2304 while max_norm is
+    at most 2304**3 / 48 (about 2.55e8): the scale after 2304 is
+    2304**3, whose widest annulus starts just above 2304**3 / 48.  A
+    longer range below that re-tests the first block against more
+    ratios, on a mask that is zero past 2304.
 
     Args:
         max_norm: top of the scanned range, at least 48 so the first
@@ -150,14 +180,12 @@ def verify_annuli_gp_free(max_norm: int, spec: AnnuliSpec = DEFAULT_ANNULI) -> b
     if max_norm < 48:
         raise ValueError(f"max_norm must be at least 48, got {max_norm}")
     kept = _kept_mask(max_norm, spec)
-    for n in range(1, max_norm + 1):
-        if not kept[n]:
-            continue
-        k = 2
-        while n * k * k <= max_norm:
-            if kept[n * k] and kept[n * k * k]:
-                return False
-            k += 1
+    for k in range(2, math.isqrt(max_norm) + 1):
+        m = max_norm // (k * k)
+        first = int.from_bytes(kept[1 : m + 1], "little")
+        if first and (first & int.from_bytes(kept[k : k * m + 1 : k], "little")
+                      & int.from_bytes(kept[k * k : k * k * m + 1 : k * k], "little")):
+            return False
     return True
 
 

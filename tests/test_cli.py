@@ -342,6 +342,9 @@ class TestPinnedBytes:
         # recorded before the Euler factors were summed a block of primes at a time
         ("rankin", "78490e760dafbd4957b2a0e8f4b46e3a3d753816a606e99f73910e4d4ac2ebd3"),
         ("annuli-check", "4800b62f13b78583ca2db6f2c98c21d941fffd75ee9f8f6dd1b7ecc2c33b31fd"),
+        # recorded before the annuli were scanned one ratio at a time
+        ("annuli-check --max-norm 100000",
+         "ab310e84fcd1192dd3b8d3635a083bc730d0cc9171f4e60a7de93884d04d4cd1"),
         ("greedy-hur --max-norm 20",
          "c82acabeb3beff2abf540e061a4e96b1e950895c54b2e8762e9d5729944bc80b"),
         ("greedy-hur --max-norm 20 --emit csv",

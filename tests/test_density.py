@@ -5,6 +5,7 @@ import decimal
 import itertools
 import math
 import random
+import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gpfree import density
+from gpfree import checks, density
 from gpfree.density import (
     DEFAULT_ANNULI,
     AnnuliSpec,
@@ -49,6 +50,36 @@ def prime_exponents(n):
 
 
 WIDENED = AnnuliSpec(interval_ratios=DEFAULT_ANNULI.interval_ratios[:-1] + ((5, 1),))
+
+
+def annuli_scan_oracle(max_norm, spec):
+    """verify_annuli_gp_free's scan as a loop over n, then over ratios k."""
+    kept = density._kept_mask(max_norm, spec)
+    for n in range(1, max_norm + 1):
+        if not kept[n]:
+            continue
+        k = 2
+        while n * k * k <= max_norm:
+            if kept[n * k] and kept[n * k * k]:
+                return False
+            k += 1
+    return True
+
+
+def random_specs(seed, count):
+    rng = random.Random(seed)
+    specs = []
+    for _ in range(count):
+        pairs = []
+        for _ in range(rng.randint(1, 6)):
+            lo = rng.randint(2, 64)
+            pairs.append((lo, rng.randint(1, lo - 1)))
+        specs.append(AnnuliSpec(tuple(pairs)))
+    return specs
+
+
+SCAN_SIZES = [48, 49, 2304, 5000, 10**5]
+RANDOM_SPECS = random_specs(20, 12)
 
 
 class TestBounds:
@@ -98,6 +129,16 @@ class TestAnnuli:
         deep = list(DEFAULT_ANNULI.scales_upto(2304**2 * 48 + 1))
         assert deep == [1, 2304, 2304**3]
 
+    def test_kept_norms_stay_in_first_block_below_far_scale(self):
+        # Up to 2304**3 / 48 only scales 1 and 2304 are visible, and their
+        # annuli end at 2304; the next kept norm is 2304**3 / 48 + 1.
+        limit = 2304**3 // 48
+        assert list(DEFAULT_ANNULI.scales_upto(limit)) == [1, 2304]
+        assert max(m // hi for m in (1, 2304) for _, hi in DEFAULT_ANNULI.interval_ratios) == 2304
+        assert DEFAULT_ANNULI.contains(limit + 1, limit + 1)
+        mask = density._kept_mask(10**5, DEFAULT_ANNULI)
+        assert mask[2304] and not any(mask[2305:])
+
     def test_progression_free_at_contract_size(self):
         assert verify_annuli_gp_free(48 * 48)
 
@@ -116,6 +157,85 @@ class TestAnnuli:
         assert [n for n in range(max_norm + 1) if mask[n]] == [
             n for n in range(max_norm + 1) if spec.contains(n, max_norm)
         ]
+
+    def test_mask_is_zero_one_bytes(self):
+        # The scan ANDs the mask's bytes, which is exact only for 0/1 flags.
+        for spec in [DEFAULT_ANNULI, WIDENED, *RANDOM_SPECS]:
+            assert set(density._kept_mask(5000, spec)) <= {0, 1}
+
+
+class TestAnnuliScan:
+    @pytest.mark.parametrize("max_norm", SCAN_SIZES)
+    @pytest.mark.parametrize("spec", [DEFAULT_ANNULI, WIDENED, *RANDOM_SPECS],
+                             ids=["default", "widened", *(f"random{i}" for i in range(len(RANDOM_SPECS)))])
+    def test_matches_oracle(self, spec, max_norm):
+        assert verify_annuli_gp_free(max_norm, spec) == annuli_scan_oracle(max_norm, spec)
+
+    def test_random_specs_reach_both_verdicts(self):
+        verdicts = {annuli_scan_oracle(max_norm, spec)
+                    for spec in RANDOM_SPECS for max_norm in (2304, 5000)}
+        assert verdicts == {True, False}
+
+    def test_only_triple_ends_at_max_norm(self):
+        # The kept norms are 38..152, whose first triple is (38, 76, 152).
+        spec = AnnuliSpec(((37, 9),))
+        assert annuli_scan_oracle(151, spec) and verify_annuli_gp_free(151, spec)
+        assert not annuli_scan_oracle(152, spec)
+        assert not verify_annuli_gp_free(152, spec)
+
+    # No spec keeps a triple (1, k, k**2).  A kept k > 1 lies in (M / w, M]
+    # for a scale M >= w**2, w the widest ratio, so k**2 > M**2 / w**2 >= M,
+    # while the next scale keeps only norms above w * M**2 > k**2.  So
+    # these cases, and the largest ratio k, hand the scan a built mask.
+    @pytest.mark.parametrize("max_norm, n, k", [
+        (49, 1, 7),
+        (2304, 1, 48),
+        (5000, 1, 5),
+        (4800, 3, 40),
+        (10**5, 1, 316),
+    ])
+    def test_only_triple_in_built_mask(self, monkeypatch, max_norm, n, k):
+        mask = bytearray(max_norm + 1)
+        for m in (n, n * k, n * k * k):
+            mask[m] = 1
+        monkeypatch.setattr(density, "_kept_mask", lambda limit, spec: mask)
+        assert not annuli_scan_oracle(max_norm, DEFAULT_ANNULI)
+        assert not verify_annuli_gp_free(max_norm, DEFAULT_ANNULI)
+        mask[n * k * k] = 0
+        assert annuli_scan_oracle(max_norm, DEFAULT_ANNULI)
+        assert verify_annuli_gp_free(max_norm, DEFAULT_ANNULI)
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_random_masks_match_oracle(self, monkeypatch, seed):
+        rng = random.Random(seed)
+        max_norm = rng.choice(SCAN_SIZES[:4])
+        share = rng.choice([0.05, 0.1, 0.2])
+        mask = bytearray(int(rng.random() < share) for _ in range(max_norm + 1))
+        monkeypatch.setattr(density, "_kept_mask", lambda limit, spec: mask)
+        assert verify_annuli_gp_free(max_norm) == annuli_scan_oracle(max_norm, DEFAULT_ANNULI)
+
+
+class TestAnnuliSpecValidation:
+    @pytest.mark.parametrize("pairs, bad", [
+        (((48, 45), (2, 0)), "(2, 0)"),
+        (((3, 5),), "(3, 5)"),
+        (((4, 4),), "(4, 4)"),
+        (((4.0, 1),), "(4.0, 1)"),
+        (((4, 2, 1),), "(4, 2, 1)"),
+        (([4, 1],), "[4, 1]"),
+    ])
+    def test_bad_pair_named(self, pairs, bad):
+        with pytest.raises(ValueError, match=re.escape(bad)):
+            AnnuliSpec(pairs)
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="at least one"):
+            AnnuliSpec(())
+
+    def test_published_and_widened_specs_construct(self):
+        assert AnnuliSpec() == DEFAULT_ANNULI
+        assert AnnuliSpec(WIDENED.interval_ratios) == WIDENED
+        assert checks.check_annuli()[0]
 
 
 class TestRankinMembership:
