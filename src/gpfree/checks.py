@@ -9,6 +9,7 @@ works" means.
 
 from __future__ import annotations
 
+import bisect
 import math
 import random
 import time
@@ -39,8 +40,8 @@ from .freegroup import (
     greedy_words_bruteforce,
     witness_progression,
 )
-from .greedy import build_greedy
-from .quaternion import HurwitzInt, enumerate_norm, is_unit_square_representable
+from .greedy import GreedyReport, build_greedy
+from .quaternion import HurwitzInt, _mul, enumerate_norm, is_unit_square_representable
 
 __all__ = ["CheckResult", "run_checks"]
 
@@ -175,13 +176,33 @@ def check_greedy_quaternions() -> tuple[bool, str]:
     )
 
 
+def _witnesses_revalidated(report: GreedyReport) -> bool:
+    """Whether every exclusion witness of a greedy report is a kept progression.
+
+    Each entry (c, (a, b, r)) must have r.norm() >= 2, c == b * r and
+    b == a * r, tested first and on coordinate tuples, and then a and b
+    kept.  Membership is tested against the kept elements of norm at most
+    max_norm // 2 alone, a prefix of ``report.included``, which is in norm
+    order.  That is exact for a report whose excluded elements have norm
+    at most max_norm, as ``build_greedy``'s do: once N(r) >= 2 and
+    c == b * r hold, N(b) = N(c) / N(r) <= max_norm / 2, and b == a * r
+    gives N(a) <= N(b).  For any other report the prefix is a subset of
+    the kept set, so the test is never weaker than one against all of it.
+    """
+    included = report.included
+    cut = bisect.bisect_right(included, report.max_norm // 2, key=HurwitzInt.norm)
+    kept = {q.coords for q in included[:cut]}
+    for c, (a, b, r) in report.excluded:
+        rc, ac, bc = r.coords, a.coords, b.coords
+        if not (r.norm() >= 2 and _mul(bc, rc) == c.coords and _mul(ac, rc) == bc
+                and ac in kept and bc in kept):
+            return False
+    return True
+
+
 def check_greedy_quaternions_343() -> tuple[bool, str]:
     report = build_greedy(343)
-    kept = report.included_coords()
-    revalidated = all(
-        b == a * r and c == b * r and r.norm() >= 2 and a.coords in kept and b.coords in kept
-        for c, (a, b, r) in report.excluded
-    )
+    revalidated = _witnesses_revalidated(report)
     return revalidated, (
         f"included {len(report.included)}, excluded {len(report.excluded)}, "
         f"all witnesses revalidated: {revalidated}"

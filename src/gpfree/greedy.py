@@ -94,7 +94,13 @@ def build_greedy(max_norm: int, rng: random.Random | None = None) -> GreedyRepor
 
     Args:
         max_norm: largest norm processed, at least 1.
-        rng: optional shuffler for the within-norm candidate order.
+        rng: optional source of the within-norm candidate order.  Each
+            shell is shuffled by ``_shuffle``, which calls only
+            ``rng.getrandbits``; for a ``random.Random`` the order and the
+            generator's final state are those of ``rng.shuffle``.  A
+            subclass that overrides ``random()`` but not ``getrandbits``
+            gets another order than its own ``shuffle`` would give, still
+            uniform.
 
     Raises:
         ValueError: if max_norm < 1.
@@ -115,7 +121,7 @@ def build_greedy(max_norm: int, rng: random.Random | None = None) -> GreedyRepor
         for n in range(1, max_norm + 1):
             candidates = enumerate_norm(n)
             if rng is not None:
-                rng.shuffle(candidates)
+                _shuffle(rng, candidates)
             witnesses = {}
             for t in range(2, math.isqrt(n) + 1):
                 if n % (t * t):
@@ -158,6 +164,34 @@ def build_greedy(max_norm: int, rng: random.Random | None = None) -> GreedyRepor
 
 
 _BASIS = ((2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2))
+
+
+def _shuffle(rng: random.Random, x: list) -> None:
+    """Shuffle x in place as ``rng.shuffle(x)`` does, with only ``rng.getrandbits``.
+
+    The Fisher-Yates walk of ``random.Random.shuffle``: for i from
+    len(x) - 1 down to 1, x[i] is swapped with x[j] for j drawn below
+    i + 1 by the rejection loop of ``Random._randbelow_with_getrandbits``,
+    which redraws ``getrandbits(k)`` with k = (i + 1).bit_length() while
+    it exceeds i.  That code is the same in CPython 3.10 to 3.13, so for
+    a ``random.Random`` the permutation and the generator's final state
+    equal those of ``rng.shuffle(x)``.  The walk is cut into runs of i
+    that share k, which is computed once per run rather than once per
+    element through a method call.  Only ``rng.getrandbits`` is called
+    (see ``build_greedy`` on what that means for a subclass).
+    """
+    getrandbits = rng.getrandbits
+    high = len(x) - 1
+    while high > 0:
+        k = (high + 1).bit_length()
+        # The run holds every i with i + 1 of bit length k: i >= 2**(k-1) - 1.
+        low = (1 << (k - 1)) - 1
+        for i in range(high, low - 1, -1):
+            j = getrandbits(k)
+            while j > i:
+                j = getrandbits(k)
+            x[i], x[j] = x[j], x[i]
+        high = low - 1
 
 
 def _key(x: tuple[int, int, int, int], base: int) -> int:

@@ -5,6 +5,8 @@ import random
 
 import pytest
 
+from gpfree import greedy
+from gpfree.checks import _witnesses_revalidated
 from gpfree.counting import count_norm_exact, count_upto, greatest_odd_divisor, square_norm_gap
 from gpfree.greedy import GreedyReport, build_greedy
 from gpfree.quaternion import (
@@ -223,6 +225,73 @@ class TestBuildGreedy:
         # unit * (norm-2 element)^2 products are exactly what gets blocked
         for q, (a, b, r) in report.excluded:
             assert a.norm() == 1 and r.norm() == 2
+
+
+# Every length to 300, and each power of two to 2**13 with its neighbours,
+# where the draw width k = (i + 1).bit_length() changes.
+SHUFFLE_LENGTHS = sorted({*range(301), *(2**k + d for k in range(1, 14) for d in (-1, 0, 1))})
+
+
+class TestShuffle:
+    """greedy._shuffle against its oracle, random.Random.shuffle."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 501, 2**64 + 7])
+    def test_matches_random_shuffle(self, seed):
+        for n in SHUFFLE_LENGTHS:
+            ours, oracle = random.Random(seed), random.Random(seed)
+            x, y = list(range(n)), list(range(n))
+            greedy._shuffle(ours, x)
+            oracle.shuffle(y)
+            assert x == y, n
+            assert ours.getstate() == oracle.getstate(), n
+
+    def test_system_random_permutes(self):
+        rng = random.SystemRandom()
+        for n in (0, 1, 2, 24, 1000, 2**13 + 1):
+            x = list(range(n))
+            greedy._shuffle(rng, x)
+            assert sorted(x) == list(range(n))
+
+
+class TestWitnessRevalidation:
+    """checks._witnesses_revalidated, the witness test of the 343 check."""
+
+    @pytest.fixture(scope="class")
+    def report(self):
+        return build_greedy(36)
+
+    @staticmethod
+    def corrupt(report, entry):
+        # Replace the first witness whose candidate has norm 36 by entry.
+        i = next(i for i, (c, _) in enumerate(report.excluded) if c.norm() == 36)
+        excluded = report.excluded[:i] + (entry,) + report.excluded[i + 1:]
+        return GreedyReport(report.max_norm, report.included, excluded)
+
+    def test_passes_on_build(self, report):
+        assert _witnesses_revalidated(report)
+
+    def test_wrong_b(self, report):
+        c, (a, b, r) = next(e for e in report.excluded if e[0].norm() == 36)
+        assert not _witnesses_revalidated(self.corrupt(report, (c, (a, -b, r))))
+
+    def test_wrong_a(self, report):
+        # -a is kept whenever a is, so only b == a * r can catch it.
+        c, (a, b, r) = next(e for e in report.excluded if e[0].norm() == 36)
+        assert not _witnesses_revalidated(self.corrupt(report, (c, (-a, b, r))))
+
+    def test_first_term_not_kept(self, report):
+        # A true progression a, a * r, a * r * r whose a was excluded.
+        a = report.excluded[0][0]
+        r = enumerate_norm(2)[0]
+        b = a * r
+        assert a.coords not in report.included_coords() and a.norm() * 4 <= 36
+        assert not _witnesses_revalidated(self.corrupt(report, (b * r, (a, b, r))))
+
+    def test_unit_ratio(self, report):
+        # 1, i, -1 is a progression of kept units with ratio i.
+        i = HurwitzInt.from_integers(0, 1, 0, 0)
+        assert {ONE, i, -ONE} <= set(report.included)
+        assert not _witnesses_revalidated(self.corrupt(report, (-ONE, (ONE, i, i))))
 
 
 class TestLeftUnitInvariance:

@@ -40,6 +40,8 @@ PRIVATE_IMPORTS = {
     ("greedy", "quaternion", "_collector_paused"),
     # check_valuation_shares reads the sieve directly and stays as it is.
     ("checks", "counting", "_norm_counts_upto"),
+    # The 343 check revalidates witnesses on coordinate tuples.
+    ("checks", "quaternion", "_mul"),
     # The Euler product folds the odd primes of counting's one sieve.
     ("density", "counting", "_primes_upto"),
 }
