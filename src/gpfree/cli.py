@@ -7,12 +7,19 @@ exact rationals render as "p/q" strings, and decimal values are printed
 to 12 significant digits, so identical invocations produce identical
 bytes.
 
-Each handler returns (result, status): a JSON-able dict or a text body,
-and the exit status.  run() passes the result to _write, the one writer,
-which renders a dict as sorted-key JSON and writes to stdout, to the
---output path, or, with no --output and GPFREE_OUTPUT_DIR set, to
-<subcommand>.<ext> in that directory (ext is json for a dict, csv for
---emit csv, txt otherwise).
+Each handler returns (result, status): a JSON-able dict, a text body or
+an iterable of text chunks, and the exit status.  run() passes the
+result to _write, the one writer, which renders a dict as sorted-key
+JSON and writes to stdout, to the --output path, or, with no --output
+and GPFREE_OUTPUT_DIR set, to <subcommand>.<ext> in that directory (ext
+is json for a dict, csv for --emit csv, txt otherwise).  Chunks are
+written one by one, so greedy-hur renders and writes one norm shell at
+a time and never holds its whole output.
+
+The JSON is the bytes of json.dumps(result, sort_keys=True, indent=2)
+for what the handlers emit (see _json_text), which the tests check
+against json.dumps itself.  Element texts are formatted from coordinate
+tuples by quaternion's bulk renderers, never one str() call per element.
 
 The argument parser is built once per process and reused by every
 run() call; parsing keeps no state in it between calls.
@@ -27,11 +34,15 @@ from __future__ import annotations
 import argparse
 import decimal
 import functools
-import json
 import os
 import sys
+from bisect import bisect_right
+from collections.abc import Iterable, Iterator
 from decimal import Decimal
 from fractions import Fraction
+from itertools import chain, pairwise
+from json.encoder import encode_basestring_ascii as _quote
+from operator import attrgetter, itemgetter
 from pathlib import Path
 
 from .counting import NormCount, count_norm_exact, count_upto
@@ -52,7 +63,7 @@ from .freegroup import (
     witness_progression,
 )
 from .greedy import build_greedy
-from .quaternion import enumerate_norm
+from .quaternion import HurwitzInt, format_elements, format_norm
 
 __all__ = ["main", "run"]
 
@@ -72,22 +83,160 @@ def _exact(value: Fraction) -> dict:
     return {"decimal": _sig12(value), "rational": f"{value.numerator}/{value.denominator}"}
 
 
-def _write(result: dict | str, args) -> None:
-    if isinstance(result, dict):
-        text, extension = json.dumps(result, sort_keys=True, indent=2) + "\n", "json"
+_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _json_text(value, level: int = 0) -> str:
+    """value as ``json.dumps(value, sort_keys=True, indent=2)`` writes it, nested level deep.
+
+    Takes what the handlers emit: dicts with str keys, lists, str, int,
+    bool and None, each of exactly that type, and lazy lists (see
+    _json_chunks, which lays out every non-empty dict).  A list's items
+    go through _column, which encodes a list of one type at C level.
+
+    Raises:
+        TypeError: for any other value, such as a float, a tuple, a set
+            or a dict key that is not a str (which _quote or sorting the
+            keys refuses), even where json.dumps would accept it.
+    """
+    kind = type(value)
+    if kind is str:
+        return _quote(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is bool or value is None:
+        return _CONSTANTS[value]
+    if kind is list:
+        if not value:
+            return "[]"
+        inner = "\n" + "  " * (level + 1)
+        return "[" + inner + _joined(value, level + 1) + "\n" + "  " * level + "]"
+    if kind is dict:
+        return "".join(_json_chunks(value, level)) if value else "{}"
+    if isinstance(value, Iterator):
+        return "".join(_json_chunks(value, level))
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
+def _column(values: list, level: int) -> tuple[str, Iterable]:
+    """A %-slot and one value per list item, such that slot % value is the item's JSON text.
+
+    The items are nested level deep.  Strs that need no escaping fill
+    '"%s"' as they are, which _plain checks for the whole list at once;
+    other strs and ints are encoded by one C-level map, dicts with one
+    key set by _rows, and any other list item by item.
+    """
+    kinds = set(map(type, values))
+    if kinds == {str}:
+        return ('"%s"', values) if _plain(values) else ("%s", map(_quote, values))
+    if kinds == {int}:
+        return "%s", map(int.__repr__, values)
+    if kinds == {dict}:
+        rows = _rows(values, level)
+        if rows is not None:
+            return "%s", rows
+    return "%s", [_json_text(value, level) for value in values]
+
+
+def _plain(strs: list[str]) -> bool:
+    """Whether every str's JSON text is the str in quotes: printable ASCII without " or \\."""
+    text = "".join(strs)
+    return text.isascii() and text.isprintable() and '"' not in text and "\\" not in text
+
+
+def _joined(values: list, level: int) -> str:
+    """The JSON texts of a list's items, nested level deep, joined as a list joins them."""
+    slot, column = _column(values, level)
+    left, _, right = slot.partition("%s")
+    return left + (right + ",\n" + "  " * level + left).join(column) + right
+
+
+def _rows(rows: list[dict], level: int) -> Iterable[str] | None:
+    """The JSON texts of dicts that share one key set, through one %-template.
+
+    Each key's values form a column that _column encodes, so rows of
+    nested rows of one shape (greedy-hur's witnesses) get a template at
+    each level.  Returns None, for _column to go item by item, unless
+    the rows share a non-empty key set.
+    """
+    keys = rows[0].keys()
+    if not keys or not all(map(keys.__eq__, map(dict.keys, rows))):
+        return None
+    order = sorted(keys)
+    slots, columns = zip(*[_column(list(map(itemgetter(key), rows)), level + 1) for key in order])
+    inner = "\n" + "  " * (level + 1)
+    template = "{" + inner + ("," + inner).join(
+        _quote(key).replace("%", "%%") + ": " + slot for key, slot in zip(order, slots)
+    ) + "\n" + "  " * level + "}"
+    return map(template.__mod__, zip(*columns))
+
+
+def _json_chunks(value, level: int = 0) -> Iterator[str]:
+    """The text of _json_text(value, level) in chunks, rendering lazy lists as they are read.
+
+    A lazy list is an iterator of runs, each a list: it is written as
+    one JSON list of all the runs' items, a run at a time, so it is
+    never held whole.  A non-empty dict is written a member at a time;
+    any other value is one chunk.
+    """
+    if isinstance(value, Iterator):
+        inner = "\n" + "  " * (level + 1)
+        sep = "[" + inner
+        for run in value:
+            if type(run) is not list:
+                raise TypeError(f"a lazy list's runs must be lists, not {type(run).__name__}")
+            if run:
+                yield sep + _joined(run, level + 1)
+                sep = "," + inner
+        yield "[]" if sep[0] == "[" else "\n" + "  " * level + "]"
+    elif type(value) is dict and value:
+        inner = "\n" + "  " * (level + 1)
+        sep = "{" + inner
+        for key, item in sorted(value.items()):
+            yield sep + _quote(key) + ": "
+            yield from _json_chunks(item, level + 1)
+            sep = "," + inner
+        yield "\n" + "  " * level + "}"
     else:
-        text, extension = result, "csv" if getattr(args, "emit", None) == "csv" else "txt"
-    if args.output:
-        Path(args.output).write_text(text)
-        return
+        yield _json_text(value, level)
+
+
+def _write(result: dict | str | Iterable[str], args) -> None:
+    """Write a handler's result: a dict as JSON, a str as it is, or text chunks.
+
+    Chunks are written one after another, never joined, so a lazy
+    result is rendered while it is written.  A failure raised while the
+    chunks are rendered or written leaves the output cut short: stdout
+    keeps what was written before it, and an --output file (or the file
+    in GPFREE_OUTPUT_DIR) is left holding that same prefix, not
+    removed; run() then exits 2 with one line on stderr.  A reader that
+    closes stdout early is such a failure: the rest of the output is
+    dropped, and the interpreter's final flush goes to os.devnull.
+    """
+    if isinstance(result, dict):
+        chunks, extension = chain(_json_chunks(result), ["\n"]), "json"
+    else:
+        chunks = [result] if isinstance(result, str) else result
+        extension = "csv" if getattr(args, "emit", None) == "csv" else "txt"
+    path = args.output
     out_dir = os.environ.get("GPFREE_OUTPUT_DIR")
-    if out_dir:
+    if not path and out_dir:
         name = args.command if not getattr(args, "subcommand", None) else (
             f"{args.command}-{args.subcommand}"
         )
-        Path(out_dir, f"{name}.{extension}").write_text(text)
+        path = Path(out_dir, f"{name}.{extension}")
+    if path:
+        with open(path, "w") as out:
+            out.writelines(chunks)
         return
-    sys.stdout.write(text)
+    try:
+        sys.stdout.writelines(chunks)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise
 
 
 def _cmd_count(args) -> tuple[dict | str, int]:
@@ -114,12 +263,11 @@ def _cmd_count(args) -> tuple[dict | str, int]:
 
 
 def _cmd_enumerate(args) -> tuple[dict | str, int]:
-    elements = enumerate_norm(args.norm)
     if args.emit == "text":
-        return "".join(f"{q}\n" for q in elements), 0
-    return {"command": "enumerate", "count": len(elements),
-            "elements": [str(q) for q in elements], "norm": args.norm,
-            "provenance": "doubled-coordinate-lattice-scan"}, 0
+        return "\n".join(format_norm(args.norm)) + "\n", 0
+    elements = format_norm(args.norm)
+    return {"command": "enumerate", "count": len(elements), "elements": elements,
+            "norm": args.norm, "provenance": "doubled-coordinate-lattice-scan"}, 0
 
 
 def _cmd_bounds(args) -> tuple[dict | str, int]:
@@ -149,26 +297,57 @@ def _cmd_annuli(args) -> tuple[dict | str, int]:
             "progression_free": ok, "provenance": "norm-interval-scan"}, 0 if ok else 1
 
 
-def _cmd_greedy_hur(args) -> tuple[dict | str, int]:
+_COORDS = attrgetter("da", "db", "dc", "dd")
+
+
+def _texts(elements, end: str = "") -> list[str]:
+    return format_elements(map(_COORDS, elements), end)
+
+
+def _shells(items: tuple, norm_of, max_norm: int) -> list[tuple]:
+    """items, which are in norm order, cut into the shells of norms 1..max_norm.
+
+    Each shell's end is found by bisection, with a norm_of call per step
+    rather than per item.
+    """
+    ends = [bisect_right(items, n, key=norm_of) for n in range(max_norm + 1)]
+    return [items[lo:hi] for lo, hi in pairwise(ends)]
+
+
+def _witness_texts(shell: tuple) -> Iterator[tuple[str, str, str, str]]:
+    """(element, a, b, ratio) texts of each excluded element of a shell."""
+    elements, witnesses = zip(*shell)
+    a, b, r = zip(*witnesses)
+    return zip(_texts(elements), _texts(a), _texts(b), _texts(r))
+
+
+def _witness_rows(shell: tuple) -> list[dict]:
+    return [{"element": c, "witness": {"a": a, "b": b, "ratio": r}}
+            for c, a, b, r in _witness_texts(shell)]
+
+
+def _greedy_csv(included: list[tuple], excluded: list[tuple]) -> Iterator[str]:
+    yield "element,norm,status,witness_a,witness_b,witness_ratio\n"
+    for n, shell in enumerate(included, 1):
+        if shell:
+            yield "".join(_texts(shell, f",{n},included,,,\n"))
+    for n, shell in enumerate(excluded, 1):
+        if shell:
+            yield "".join(map(f"%s,{n},excluded,%s,%s,%s\n".__mod__, _witness_texts(shell)))
+
+
+def _cmd_greedy_hur(args) -> tuple[dict | Iterator[str], int]:
     report = build_greedy(args.max_norm)
+    included = _shells(report.included, HurwitzInt.norm, report.max_norm)
+    excluded = _shells(report.excluded, lambda row: row[0].norm(), report.max_norm)
     if args.emit == "csv":
-        lines = ["element,norm,status,witness_a,witness_b,witness_ratio"]
-        for q in report.included:
-            lines.append(f"{q},{q.norm()},included,,,")
-        for q, (a, b, r) in report.excluded:
-            lines.append(f"{q},{q.norm()},excluded,{a},{b},{r}")
-        return "\n".join(lines) + "\n", 0
-    per_norm: dict[str, list[str]] = {}
-    for q in report.included:
-        per_norm.setdefault(str(q.norm()), []).append(str(q))
+        return _greedy_csv(included, excluded), 0
+    # Lazy lists (see _json_chunks): each shell is rendered as it is written.
     return {
         "command": "greedy-hur",
-        "excluded": [
-            {"element": str(q),
-             "witness": {"a": str(a), "b": str(b), "ratio": str(r)}}
-            for q, (a, b, r) in report.excluded
-        ],
-        "included_per_norm": per_norm,
+        "excluded": map(_witness_rows, filter(None, excluded)),
+        "included_per_norm": {str(n): map(_texts, [shell])
+                              for n, shell in enumerate(included, 1) if shell},
         "included_total": len(report.included),
         "max_norm": report.max_norm,
         "provenance": "greedy-by-increasing-norm",

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import gc
 import math
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -32,6 +32,8 @@ __all__ = [
     "ONE",
     "enumerate_norm",
     "factor_modelled",
+    "format_elements",
+    "format_norm",
     "is_gp_triple",
     "is_unit_square_representable",
     "left_divide",
@@ -115,13 +117,56 @@ class HurwitzInt:
         return hash(self.coords)
 
     def __str__(self) -> str:
-        return f"({self.da},{self.db},{self.dc},{self.dd})/2"
+        return _TEXT % (self.da, self.db, self.dc, self.dd)
 
     def __repr__(self) -> str:
         return f"HurwitzInt({self.da}, {self.db}, {self.dc}, {self.dd})"
 
 
 ONE = HurwitzInt.from_integers(1, 0, 0, 0)
+
+# The text of an element, "(da,db,dc,dd)/2", in two halves:
+# ``HurwitzInt.__str__`` and ``format_elements`` format the whole and
+# ``format_norm`` each half, so all three render elements alike.
+_HEAD = "(%d,%d,"
+_TAIL = "%d,%d)/2"
+_TEXT = _HEAD + _TAIL
+
+
+def format_elements(coords: Iterable[tuple[int, int, int, int]], end: str = "") -> list[str]:
+    """``str(q) + end`` for each element given by its doubled-coordinate tuple.
+
+    One ``%``-formatting per tuple, mapped at C level, with no
+    ``HurwitzInt`` built.
+    """
+    return list(map((_TEXT + end.replace("%", "%%")).__mod__, coords))
+
+
+def format_norm(norm: int) -> list[str]:
+    """``[str(q) for q in enumerate_norm(norm)]``, rendered from the row scan.
+
+    No ``HurwitzInt`` is built.  A row of ``_norm_rows`` is the head
+    "(da,db," joined to each tail "dc,dd)/2" of its two-square value,
+    whose tails are formatted once per call; the rows are then joined
+    and split into elements, so that no element text is built by a
+    Python-level step of its own.
+
+    Raises:
+        ValueError: if norm < 1.
+    """
+    if norm < 1:
+        raise ValueError(f"norm must be positive, got {norm}")
+    target = 4 * norm
+    tails: dict[int, list[str]] = {}
+    rows = []
+    for da, db, row in _norm_rows(norm):
+        rest = target - da * da - db * db
+        tail = tails.get(rest)
+        if tail is None:
+            tail = tails[rest] = list(map(_TAIL.__mod__, row))
+        head = _HEAD % (da, db)
+        rows.append(head + ("\n" + head).join(tail))
+    return "\n".join(rows).split("\n")
 
 
 # Two-square table behind the norm-class scan.  A quadruple of doubled

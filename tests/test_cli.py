@@ -6,13 +6,16 @@ import json
 import os
 import subprocess
 import sys
+from collections.abc import Iterator
 from pathlib import Path
 
 import pytest
 
 import gpfree
 from gpfree.checks import CheckResult
-from gpfree.cli import run
+from gpfree.cli import _build_parser, _json_chunks, _json_text, run
+from gpfree.greedy import build_greedy
+from gpfree.quaternion import enumerate_norm
 
 
 def invoke(capsys, *argv):
@@ -111,6 +114,24 @@ class TestEnumerate:
         assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
+    def test_zero_norm_message(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["enumerate", "--norm", "0"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == "gpfree: error: norm must be positive, got 0\n"
+
+    @pytest.mark.parametrize("n", range(1, 61))
+    def test_matches_str_oracle(self, n, capsys):
+        # The elements as str() renders them, in enumerate_norm's order.
+        elements = [str(q) for q in enumerate_norm(n)]
+        expected = {"command": "enumerate", "count": len(elements), "elements": elements,
+                    "norm": n, "provenance": "doubled-coordinate-lattice-scan"}
+        _, out = invoke(capsys, "enumerate", "--norm", str(n))
+        assert out == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+        _, out = invoke(capsys, "enumerate", "--norm", str(n), "--emit", "text")
+        assert out == "".join(f"{q}\n" for q in elements)
+
+
 class TestBounds:
     def test_default_terms(self, capsys):
         code, payload = invoke_json(capsys, "bounds")
@@ -206,6 +227,32 @@ class TestGreedyHur:
         assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
+    # The output as the handler wrote it before it streamed: str() of each
+    # element, a norm() call per row, json.dumps and one joined CSV body.
+    @pytest.mark.parametrize("max_norm", range(1, 31))
+    def test_matches_str_oracle(self, max_norm, capsys):
+        report = build_greedy(max_norm)
+        per_norm = {}
+        for q in report.included:
+            per_norm.setdefault(str(q.norm()), []).append(str(q))
+        expected = {
+            "command": "greedy-hur",
+            "excluded": [{"element": str(q), "witness": {"a": str(a), "b": str(b), "ratio": str(r)}}
+                         for q, (a, b, r) in report.excluded],
+            "included_per_norm": per_norm,
+            "included_total": len(report.included),
+            "max_norm": max_norm,
+            "provenance": "greedy-by-increasing-norm",
+        }
+        _, out = invoke(capsys, "greedy-hur", "--max-norm", str(max_norm))
+        assert out == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+        lines = ["element,norm,status,witness_a,witness_b,witness_ratio"]
+        lines += [f"{q},{q.norm()},included,,," for q in report.included]
+        lines += [f"{q},{q.norm()},excluded,{a},{b},{r}" for q, (a, b, r) in report.excluded]
+        _, out = invoke(capsys, "greedy-hur", "--max-norm", str(max_norm), "--emit", "csv")
+        assert out == "\n".join(lines) + "\n"
+
+
 class TestFreegroup:
     def test_greedy_words(self, capsys):
         code, payload = invoke_json(capsys, "freegroup", "greedy", "--max-len", "6")
@@ -233,6 +280,164 @@ class TestFreegroup:
         assert code == 0
         assert payload["member"] is True
         assert payload["witness"] is None
+
+
+def materialized(value):
+    """value with each lazy list (an iterator of runs) read out into one list."""
+    if isinstance(value, Iterator):
+        return [item for run in value for item in run]
+    if isinstance(value, dict):
+        return {key: materialized(item) for key, item in value.items()}
+    return value
+
+
+def handler_result(argv):
+    args = _build_parser().parse_args(argv)
+    result, _ = args.func(args)
+    return result
+
+
+class TestJsonWriter:
+    # The writer must give json.dumps(v, sort_keys=True, indent=2)'s bytes
+    # on every handler's result, and refuse what no handler emits, so that
+    # a new handler cannot drift from json.dumps unnoticed.
+    HANDLER_ARGV = [
+        "count --norm 1", "count --norm 7", "count --norm 123456789",
+        "count --upto 0", "count --upto 1000", "count --table 1", "count --table 50",
+        *(f"enumerate --norm {n}" for n in range(1, 61)),
+        "bounds", "bounds --terms 1", "bounds --terms 3",
+        "rankin --max-prime 100 --max-exponent 12", "annuli-check",
+        *(f"greedy-hur --max-norm {n}" for n in range(1, 31)),
+        *(f"freegroup greedy --max-len {n}" for n in (0, 1, 2, 6, 18, 54)),
+        *(f"freegroup density --n {n}" for n in range(6)),
+        *(f"freegroup witness --n {n}" for n in range(-15, 31)),
+    ]
+
+    @pytest.mark.parametrize("argv", HANDLER_ARGV)
+    def test_handler_result(self, argv, capsys):
+        expected = json.dumps(materialized(handler_result(argv.split())), sort_keys=True, indent=2)
+        assert "".join(_json_chunks(handler_result(argv.split()))) == expected
+        _, out = invoke(capsys, *argv.split())
+        assert out == expected + "\n"
+
+    def test_witness_range_has_members(self):
+        members = [n for n in range(-15, 31)
+                   if handler_result(["freegroup", "witness", "--n", str(n)])["witness"] is None]
+        assert len(members) > 3
+
+    SYNTHETIC = [
+        {}, [], [[]], [{}], [{}, {}], {"a": {}}, {"a": []}, [[], [[]], {}],
+        "s", "", 0, -7, 10**40, -(10**40), True, False, None,
+        [True, False, None], [1, True, 0, False], [0, -1, 10**30, -(10**30)],
+        ["plain", "(1,-1,0,0)/2", ""],
+        ["\u00e9", "\u2603", "\U0001f600", 'a"b', "back\\slash", "\x00\x1f\x7f", "tab\t", "x"],
+        ["%s", "%d", "%%", "%(a)s"],
+        # One escape each, in lists otherwise plain ASCII.
+        ['a"b', "plain"], ["back\\slash"], ["\x7f"], ["\x1f", "x"], ["tab\t"], ["x", "\u00e9"],
+        [{"k": 'q"'}, {"k": "p"}],
+        [{"%s": "%d", "%": 1}, {"%": 2, "%s": "%%"}],
+        [{"a": 1, "b": [{"c": None}, {}]}, {"b": [], "a": 2}],
+        [{"x": 1}, {"y": 2}], [{"x": 1}, {"x": "s"}], [{"x": 1}, {"x": 1, "y": 2}],
+        [{"k": True}, {"k": 1}], [{"k": None}, {"k": "\u00fc"}], [{"e": {"a": "1", "b": "2"}}] * 3,
+        [[{"a": [1, 2]}, {"a": []}], [{"a": ["x"]}]],
+        {"b": 1, "a": [1, "x", None, True, {"z": []}], "\u00e9": "\u00fc", "": 0, "A": {"n": {"m": [{}]}}},
+    ]
+
+    @pytest.mark.parametrize("value", SYNTHETIC, ids=range(len(SYNTHETIC)))
+    def test_synthetic(self, value):
+        expected = json.dumps(value, sort_keys=True, indent=2)
+        assert _json_text(value) == expected
+        assert "".join(_json_chunks(value)) == expected
+
+    def test_lazy_lists(self):
+        def value():
+            return {"f": 3, "a": iter([[1, 2], [], ["x"]]), "b": iter([]), "e": iter([[]]),
+                    "c": {"d": iter([[{"e": 1}], [{"e": 2}]]), "g": [1]}}
+        expected = json.dumps(materialized(value()), sort_keys=True, indent=2)
+        assert "".join(_json_chunks(value())) == expected
+        assert _json_text(value()) == expected
+        assert "".join(_json_chunks(iter([[1], [], [{"a": "b"}]]), 2)) == _json_text([1, {"a": "b"}], 2)
+
+    REFUSED = [
+        1.5, float("nan"), [1.5], {"a": 2.0}, (1, 2), [(1, 2)], {1, 2}, frozenset(), b"x",
+        {1: "a"}, {"a": {None: "b"}}, {True: 1}, [{"a": 1}, {"a": 1.5}], [{1: "a"}, {1: "b"}],
+        [{"a": (1,)}, {"a": (2,)}],
+    ]
+
+    @pytest.mark.parametrize("value", REFUSED, ids=range(len(REFUSED)))
+    def test_refuses_what_no_handler_emits(self, value):
+        with pytest.raises(TypeError):
+            "".join(_json_chunks(value))
+        with pytest.raises(TypeError):
+            _json_text(value)
+
+    @pytest.mark.parametrize("make", [
+        lambda: {"a": iter([[1.5]])}, lambda: {2: iter([])}, lambda: iter([(1,)]),
+        lambda: {"a": {"b": iter([[[], (1,)]])}},
+    ], ids=range(4))
+    def test_refuses_in_lazy_lists(self, make):
+        with pytest.raises(TypeError):
+            "".join(_json_chunks(make()))
+        with pytest.raises(TypeError):
+            _json_text(make())
+
+
+class TestStreamFailure:
+    # A failure after the first chunk is written still exits 2 with one
+    # line on stderr; what was written before it stays.
+    HEADERS = {"csv": "element,norm,status,witness_a,witness_b,witness_ratio\n",
+               "json": '{\n  "command": "greedy-hur",\n  "excluded": '}
+
+    @pytest.fixture
+    def failing_render(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise ValueError("render failed")
+        monkeypatch.setattr("gpfree.cli.format_elements", fail)
+
+    @pytest.mark.parametrize("emit", ["csv", "json"])
+    def test_stdout(self, emit, failing_render, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["greedy-hur", "--max-norm", "4", "--emit", emit])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == self.HEADERS[emit]
+        assert captured.err == "gpfree: error: render failed\n"
+
+    @pytest.mark.parametrize("emit", ["csv", "json"])
+    def test_output_file_keeps_prefix(self, emit, failing_render, tmp_path, capsys):
+        target = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            run(["--output", str(target), "greedy-hur", "--max-norm", "4", "--emit", emit])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "gpfree: error: render failed\n"
+        assert target.read_text() == self.HEADERS[emit]
+
+    # As `gpfree greedy-hur --max-norm 100 --emit csv | head -1`, about 4 MB
+    # for a reader that takes one line and goes, and as `gpfree count
+    # --norm 5 | true`, whose reader is gone before the first write; with
+    # stdout buffered, the interpreter's own final flush must not fail too.
+    @pytest.mark.parametrize("argv, lines_read", [
+        ("greedy-hur --max-norm 100 --emit csv", 1),
+        ("count --norm 5", 0),
+    ], ids=["one-line-read", "nothing-read"])
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    def test_reader_closes_early(self, argv, lines_read, unbuffered):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(Path(gpfree.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        proc = subprocess.Popen([sys.executable, "-m", "gpfree.cli", *argv.split()],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        for _ in range(lines_read):
+            assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 2
+        assert err == b"gpfree: error: [Errno 32] Broken pipe\n"
 
 
 class TestOutputTargets:
@@ -349,6 +554,15 @@ class TestPinnedBytes:
          "c82acabeb3beff2abf540e061a4e96b1e950895c54b2e8762e9d5729944bc80b"),
         ("greedy-hur --max-norm 20 --emit csv",
          "9bf3c9109febe56d619b1626156d340c90831df361ea20037c2a287d10bc002e"),
+        # recorded before the output was rendered from coordinates and streamed
+        ("greedy-hur --max-norm 100",
+         "0b1c57b402a936ac48baec0705511905a30463b655bef6bf987313637bca3209"),
+        ("greedy-hur --max-norm 100 --emit csv",
+         "57901119670291448fedc086ac7bb7099e8b0437cd09c97701d6a34b7c30c42f"),
+        ("count --table 2000",
+         "5a7b362a2473d337493f560e26417f3e442f7ad5210ddfebd08aeedeb3f76488"),
+        ("enumerate --norm 2000 --emit text",
+         "4aa80e84967d409cea93e110c5861ef40d798936e30776a16a9cec13c429033e"),
         ("freegroup greedy", "21a0f63c8ce8a9b87975d831fed086ded1b114337f5605ee072815be02ec5cda"),
         # recorded before the word greedy ran on blocked sets of coordinates
         ("freegroup greedy --max-len 486",
@@ -378,7 +592,9 @@ class TestParsing:
         "count --norm 3 --emit csv",
         "count --upto 3 --emit csv",
         "enumerate --norm 0",
+        "enumerate --norm 0 --emit text",
         "greedy-hur --max-norm 0",
+        "greedy-hur --max-norm 0 --emit csv",
         "rankin --max-prime 2",
         "annuli-check --max-norm 10",
         "bounds --terms 0",

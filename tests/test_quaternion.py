@@ -9,6 +9,7 @@ import functools
 import gc
 import itertools
 import math
+import random
 import weakref
 
 import pytest
@@ -27,6 +28,8 @@ from gpfree.quaternion import (
     _norm_rows,
     enumerate_norm,
     factor_modelled,
+    format_elements,
+    format_norm,
     is_gp_triple,
     left_divide,
     units,
@@ -247,6 +250,35 @@ class TestEnumeration:
     def test_bad_input(self):
         with pytest.raises(ValueError):
             enumerate_norm(0)
+
+
+class TestRendering:
+    # The bulk renderers must give exactly str(q), which every CLI output
+    # and its pinned bytes are made of.
+    def test_norm_class_matches_str(self):
+        for n in [*range(1, 301), 2047]:
+            assert format_norm(n) == [str(q) for q in enumerate_norm(n)], n
+
+    def test_elements_match_str(self):
+        report = build_greedy(60, rng=random.Random(1))
+        elements = [*report.included]
+        for c, (a, b, r) in report.excluded:
+            elements += [c, a, b, r]
+        assert format_elements(q.coords for q in elements) == [str(q) for q in elements]
+
+    def test_end_is_appended_verbatim(self):
+        coords = [q.coords for q in enumerate_norm(3)]
+        for end in ["", "\n", ",3,included,,,\n", "%d%%s"]:
+            assert format_elements(coords, end) == [f"{q}{end}" for q in enumerate_norm(3)]
+
+    def test_str_of_extreme_coordinates(self):
+        q = HurwitzInt(-(10**30), 0, 2, -4)
+        assert str(q) == f"({-(10**30)},0,2,-4)/2"
+        assert format_elements([q.coords]) == [str(q)]
+
+    def test_bad_input(self):
+        with pytest.raises(ValueError, match="^norm must be positive, got 0$"):
+            format_norm(0)
 
 
 class TestDivision:
