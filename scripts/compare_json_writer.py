@@ -52,7 +52,7 @@ def main() -> int:
     print(f"{'command':42s} {'writer ms':>10s} {'json.dumps ms':>14s}  same")
     failed = 0
     for command in COMMANDS:
-        args = _build_parser().parse_args(command.split())
+        args = _build_parser()[0].parse_args(command.split())
         value = materialized(args.func(args)[0])
         same = _json_text(value) == json.dumps(value, sort_keys=True, indent=2)
         failed += not same

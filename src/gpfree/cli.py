@@ -22,7 +22,15 @@ against json.dumps itself.  Element texts are formatted from coordinate
 tuples by quaternion's bulk renderers, never one str() call per element.
 
 The argument parser is built once per process and reused by every
-run() call; parsing keeps no state in it between calls.
+run() call; parsing keeps no state in it between calls.  run() parses a
+well-formed request itself (_direct_parse), at a tenth of parse_args'
+cost or less: [--output V] COMMAND [SUBCOMMAND] and options spelled in
+full, each at most once with its value as the next token.  It reads
+the Action objects that _build_parser's own add_argument calls
+returned, so there is one grammar, and it gives the Namespace that
+parse_args would.  Every other argv goes to parse_args unchanged, so
+help, abbreviations, --opt=value forms and every usage error are
+argparse's alone.
 
 Exit status: 0 on success, 1 when a verification subcommand finds a
 failure, 2 for malformed invocations (argparse's convention), rejected
@@ -37,7 +45,8 @@ import functools
 import os
 import sys
 from bisect import bisect_right
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
+from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from itertools import chain, pairwise
@@ -418,74 +427,170 @@ def _cmd_verify_all(args) -> tuple[dict | str, int]:
     return "".join(lines), 0 if not failed else 1
 
 
+@dataclass(frozen=True)
+class _Grammar:
+    """One level of the parser, as _direct_parse reads it.
+
+    Everything here is an object that argparse returned while the parser
+    was built, read through its public attributes, so the parser and the
+    direct parse share one grammar.  options maps each option string of
+    the level to the Action that add_argument returned for it; of the
+    Actions in exclusive, a required mutually exclusive group, exactly
+    one must be given.  A level with subcommands holds the Action that
+    add_subparsers returned and a grammar per subcommand; a leaf holds
+    the handler that set_defaults gives it as func.
+    """
+
+    options: dict[str, argparse.Action]
+    exclusive: tuple[argparse.Action, ...] = ()
+    subparsers: argparse.Action | None = None
+    commands: dict[str, _Grammar] | None = None
+    handler: Callable | None = None
+
+
+def _leaf(parser: argparse.ArgumentParser, handler: Callable, *actions: argparse.Action,
+          exclusive: tuple[argparse.Action, ...] = ()) -> _Grammar:
+    parser.set_defaults(func=handler)
+    options = {name: action for action in (*exclusive, *actions) for name in action.option_strings}
+    return _Grammar(options, exclusive, handler=handler)
+
+
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, _Grammar]:
+    """The argument parser, and the grammar that _direct_parse reads from its Actions."""
     parser = argparse.ArgumentParser(
         prog="gpfree",
         description="Hurwitz quaternion arithmetic and progression-free densities",
     )
-    parser.add_argument("--output", help="write the result to this file instead of stdout")
+    output = parser.add_argument("--output", help="write the result to this file instead of stdout")
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
 
     p = sub.add_parser("count", help="count Hurwitz integers by norm")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--norm", type=int, help="count elements of exactly this norm")
-    group.add_argument("--upto", type=int, help="count elements with norm up to this bound")
-    group.add_argument("--table", type=int, help="tabulate counts for all norms up to this bound")
-    p.add_argument("--emit", choices=["json", "csv"], default="json", help="csv needs --table")
-    p.set_defaults(func=_cmd_count)
+    modes = (
+        group.add_argument("--norm", type=int, help="count elements of exactly this norm"),
+        group.add_argument("--upto", type=int, help="count elements with norm up to this bound"),
+        group.add_argument("--table", type=int,
+                           help="tabulate counts for all norms up to this bound"),
+    )
+    commands["count"] = _leaf(
+        p, _cmd_count,
+        p.add_argument("--emit", choices=["json", "csv"], default="json", help="csv needs --table"),
+        exclusive=modes,
+    )
 
     p = sub.add_parser("enumerate", help="list all elements of one norm")
-    p.add_argument("--norm", type=int, required=True)
-    p.add_argument("--emit", choices=["json", "text"], default="json")
-    p.set_defaults(func=_cmd_enumerate)
+    commands["enumerate"] = _leaf(
+        p, _cmd_enumerate,
+        p.add_argument("--norm", type=int, required=True),
+        p.add_argument("--emit", choices=["json", "text"], default="json"),
+    )
 
     p = sub.add_parser("bounds", help="density bounds for progression-free sets")
-    p.add_argument(
+    commands["bounds"] = _leaf(p, _cmd_bounds, p.add_argument(
         "--terms", type=int, default=None,
         help="exclusion terms for the upper bound (default: full series)",
-    )
-    p.set_defaults(func=_cmd_bounds)
+    ))
 
     p = sub.add_parser("rankin", help="density of elements with Rankin norm")
-    p.add_argument("--max-prime", type=int, default=10**6)
-    p.add_argument("--max-exponent", type=int, default=40)
-    p.set_defaults(func=_cmd_rankin)
+    commands["rankin"] = _leaf(
+        p, _cmd_rankin,
+        p.add_argument("--max-prime", type=int, default=10**6),
+        p.add_argument("--max-exponent", type=int, default=40),
+    )
 
     p = sub.add_parser("annuli-check", help="verify the annular norm set has no progression")
-    p.add_argument("--max-norm", type=int, default=48 * 48)
-    p.set_defaults(func=_cmd_annuli)
+    commands["annuli-check"] = _leaf(
+        p, _cmd_annuli, p.add_argument("--max-norm", type=int, default=48 * 48),
+    )
 
     p = sub.add_parser("greedy-hur", help="greedy progression-free quaternion selection")
-    p.add_argument("--max-norm", type=int, default=49)
-    p.add_argument("--emit", choices=["json", "csv"], default="json")
-    p.set_defaults(func=_cmd_greedy_hur)
+    commands["greedy-hur"] = _leaf(
+        p, _cmd_greedy_hur,
+        p.add_argument("--max-norm", type=int, default=49),
+        p.add_argument("--emit", choices=["json", "csv"], default="json"),
+    )
 
     p = sub.add_parser("freegroup", help="greedy sets over two involution generators")
     fsub = p.add_subparsers(dest="subcommand", required=True)
     fp = fsub.add_parser("greedy", help="greedy word selection up to a length")
-    fp.add_argument("--max-len", type=int, default=18)
-    fp.set_defaults(func=_cmd_freegroup_greedy)
+    greedy = _leaf(fp, _cmd_freegroup_greedy, fp.add_argument("--max-len", type=int, default=18))
     fp = fsub.add_parser("density", help="closed-form greedy densities at scale 3^n")
-    fp.add_argument("--n", type=int, default=1)
-    fp.set_defaults(func=_cmd_freegroup_density)
+    density = _leaf(fp, _cmd_freegroup_density, fp.add_argument("--n", type=int, default=1))
     fp = fsub.add_parser("witness", help="blocking progression for an integer")
-    fp.add_argument("--n", type=int, required=True)
-    fp.set_defaults(func=_cmd_freegroup_witness)
+    witness = _leaf(fp, _cmd_freegroup_witness, fp.add_argument("--n", type=int, required=True))
+    commands["freegroup"] = _Grammar({}, subparsers=fsub, commands={
+        "greedy": greedy, "density": density, "witness": witness,
+    })
 
     p = sub.add_parser("verify-all", help="run the full check registry")
-    p.add_argument(
+    commands["verify-all"] = _leaf(p, _cmd_verify_all, p.add_argument(
         "--quick", action="store_true",
         help="skip the max-norm-343 greedy run",
-    )
-    p.set_defaults(func=_cmd_verify_all)
+    ))
 
-    return parser
+    return parser, _Grammar({"--output": output}, subparsers=sub, commands=commands)
+
+
+def _direct_parse(argv: list[str], level: _Grammar) -> argparse.Namespace | None:
+    """The Namespace that parse_args gives for a well-formed argv, or None to leave it to argparse.
+
+    Well-formed is [--output V] COMMAND [SUBCOMMAND] (OPTION [V])*, with
+    every option spelled in full and given at most once, each value the
+    next token (starting with "-" only as "-" and ASCII digits), each
+    value passing its Action's type and choices, every required option
+    given and exactly one of a level's exclusive options.  Anything else
+    (-h, abbreviations, --opt=value, repeats, --, unknown tokens, every
+    usage error) gets None, so argparse alone writes help and errors.
+    """
+    values = {}
+    i = 0
+    while True:
+        given = {}
+        while i < len(argv) and argv[i].startswith("-"):
+            action = level.options.get(argv[i])
+            if action is None or action.dest in given:
+                return None
+            if action.nargs == 0:
+                value = action.const
+            else:
+                i += 1
+                if i == len(argv):
+                    return None
+                text = argv[i]
+                if text.startswith("-") and not (text[1:].isdigit() and text.isascii()):
+                    return None
+                try:
+                    value = text if action.type is None else action.type(text)
+                except (TypeError, ValueError):
+                    return None
+                if action.choices is not None and value not in action.choices:
+                    return None
+            given[action.dest] = value
+            i += 1
+        for action in level.options.values():
+            if action.required and action.dest not in given:
+                return None
+            values[action.dest] = given.get(action.dest, action.default)
+        if level.exclusive and sum(action.dest in given for action in level.exclusive) != 1:
+            return None
+        if level.subparsers is None:
+            if i < len(argv):
+                return None
+            return argparse.Namespace(**values, func=level.handler)
+        if i == len(argv) or argv[i] not in level.commands:
+            return None
+        values[level.subparsers.dest] = argv[i]
+        level = level.commands[argv[i]]
+        i += 1
 
 
 def run(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    parser, grammar = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _direct_parse(argv, grammar) or parser.parse_args(argv)
     try:
         result, status = args.func(args)
         _write(result, args)

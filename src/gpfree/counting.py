@@ -69,6 +69,35 @@ def _odd_primes_covering(root: int) -> list[int]:
     return _odd_primes
 
 
+# The first 13 primes as Miller-Rabin bases decide primality for every n
+# below this bound (Sorenson and Webster, 2017); the first 12 do not, as
+# 318665857834031151167461 passes all of them.
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MILLER_RABIN_BOUND = 3317044064679887385961981
+
+
+def _large_prime(n: int) -> bool:
+    """Whether the odd n is a prime from 2**32 up to _MILLER_RABIN_BOUND, by Miller-Rabin.
+
+    False for every n outside that range, prime or not.
+    """
+    if not _ODD_PRIMES_CAP**2 <= n < _MILLER_RABIN_BOUND:
+        return False
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def factorize(n: int):
     """Yield the prime factorization of n as (p, e) pairs by ascending p.
 
@@ -79,7 +108,13 @@ def factorize(n: int):
     grown on demand to the largest square root asked for so far, up to
     2**16; so any n < 2**32 is factored from the table alone.  Past the
     last prime of the table the generator holds, trial division goes on
-    over the odd numbers after that prime.
+    over the odd numbers after that prime; but first, and again after
+    each factor found there, a cofactor from 2**32 up to
+    _MILLER_RABIN_BOUND is tested by _large_prime and ends the search if
+    it is prime.  So a large prime times small ones is fast, while a
+    product of two primes above 2**16 is still trial-divided up to the
+    smaller, and a cofactor past the bound up to its square root or its
+    next factor.
 
     Raises:
         ValueError: if n < 1.
@@ -104,7 +139,8 @@ def factorize(n: int):
             root = math.isqrt(n)
     else:
         f = primes[-1] + 2
-        while f <= root:
+        prime = _large_prime(n)
+        while f <= root and not prime:
             if n % f == 0:
                 e = 0
                 while n % f == 0:
@@ -112,6 +148,7 @@ def factorize(n: int):
                     e += 1
                 yield f, e
                 root = math.isqrt(n)
+                prime = _large_prime(n)
             f += 2
     if n > 1:
         yield n, 1

@@ -2,6 +2,7 @@
 
 import decimal
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -13,9 +14,12 @@ import pytest
 
 import gpfree
 from gpfree.checks import CheckResult
-from gpfree.cli import _build_parser, _json_chunks, _json_text, run
+from gpfree.cli import _build_parser, _direct_parse, _json_chunks, _json_text, run
 from gpfree.greedy import build_greedy
 from gpfree.quaternion import enumerate_norm
+
+
+ROOT = Path(__file__).parents[1]
 
 
 def invoke(capsys, *argv):
@@ -292,7 +296,7 @@ def materialized(value):
 
 
 def handler_result(argv):
-    args = _build_parser().parse_args(argv)
+    args = _build_parser()[0].parse_args(argv)
     result, _ = args.func(args)
     return result
 
@@ -525,58 +529,218 @@ def test_import_leaves_checks_unloaded():
     assert result.stdout == "False\n"
 
 
+# Output bytes of every subcommand, recorded before the handlers
+# returned their results to one writer; a moved hash means moved output.
+PINNED_BYTES = [
+    ("count --norm 7", "b5c56a55cc38a3ae49fb54c266b12d9557e2c782c7b2b353a0b578db5481143d"),
+    ("count --upto 100", "8e866d13a6f89ffdab100ba6849da1968ecbd9941416655e3dddc56b04502a3f"),
+    ("count --table 50", "19ddaf67f03de98e3b29afbeee86ef5c8c79270415d8bed683c8a942d125673e"),
+    ("count --table 50 --emit csv",
+     "071d527b687818ed1aef0b07b572a446268e8bb111e77840d7f5d2b3fe2267f6"),
+    # recorded before the divisor sieve became slices and block copies
+    ("count --table 20000 --emit csv",
+     "a88a2061e07fdb045e36a283df000233ba71e9d0bdc1750bc6979529ab79022e"),
+    ("enumerate --norm 10", "8b98976f1e0bccf69eddeeaf43559d698d6c1d6823171ad19d1741efc3c2120e"),
+    ("enumerate --norm 10 --emit text",
+     "e663ef4d34e5516451c583a0dadc40ffc27c0f3871867ffe68ad95de8835292f"),
+    ("bounds", "48084f6828b34179add35f470959a446b74c7ea3eaa869b17ce73b49e4ecbad6"),
+    ("bounds --terms 3", "59c7b04e64481e601e518add7c7cfbec8ff8ed594f55591dc5a8957adfda7b38"),
+    ("rankin --max-prime 100 --max-exponent 12",
+     "4aef316ed332f810cbb2d1903449cc8ba6ebc98bfd4a4cf2602966da0fe7152a"),
+    # recorded before the Euler factors were summed a block of primes at a time
+    ("rankin", "78490e760dafbd4957b2a0e8f4b46e3a3d753816a606e99f73910e4d4ac2ebd3"),
+    ("annuli-check", "4800b62f13b78583ca2db6f2c98c21d941fffd75ee9f8f6dd1b7ecc2c33b31fd"),
+    # recorded before the annuli were scanned one ratio at a time
+    ("annuli-check --max-norm 100000",
+     "ab310e84fcd1192dd3b8d3635a083bc730d0cc9171f4e60a7de93884d04d4cd1"),
+    ("greedy-hur --max-norm 20",
+     "c82acabeb3beff2abf540e061a4e96b1e950895c54b2e8762e9d5729944bc80b"),
+    ("greedy-hur --max-norm 20 --emit csv",
+     "9bf3c9109febe56d619b1626156d340c90831df361ea20037c2a287d10bc002e"),
+    # recorded before the output was rendered from coordinates and streamed
+    ("greedy-hur --max-norm 100",
+     "0b1c57b402a936ac48baec0705511905a30463b655bef6bf987313637bca3209"),
+    ("greedy-hur --max-norm 100 --emit csv",
+     "57901119670291448fedc086ac7bb7099e8b0437cd09c97701d6a34b7c30c42f"),
+    ("count --table 2000",
+     "5a7b362a2473d337493f560e26417f3e442f7ad5210ddfebd08aeedeb3f76488"),
+    ("enumerate --norm 2000 --emit text",
+     "4aa80e84967d409cea93e110c5861ef40d798936e30776a16a9cec13c429033e"),
+    ("freegroup greedy", "21a0f63c8ce8a9b87975d831fed086ded1b114337f5605ee072815be02ec5cda"),
+    # recorded before the word greedy ran on blocked sets of coordinates
+    ("freegroup greedy --max-len 486",
+     "483d50a8700c8db5652a4939dd6b1f575351e6e24def3a406aa022569d4651db"),
+    ("freegroup density", "1d235c89792ecd341ae2e1c18d824ced313b6a0c1e7683211a08403e6e346349"),
+    ("freegroup witness --n 95",
+     "0952eb914f6d64054887bc886320e1cf986362789bd14a4a7689064a8e786033"),
+    ("freegroup witness --n -6",
+     "a2503d205e34c7069e64c1a9cc4d1a3cd2a515f2805183d744736c18d08ecf8c"),
+]
+
+
 class TestPinnedBytes:
-    # Output bytes of every subcommand, recorded before the handlers
-    # returned their results to one writer; a moved hash means moved output.
-    @pytest.mark.parametrize("argv, sha256", [
-        ("count --norm 7", "b5c56a55cc38a3ae49fb54c266b12d9557e2c782c7b2b353a0b578db5481143d"),
-        ("count --upto 100", "8e866d13a6f89ffdab100ba6849da1968ecbd9941416655e3dddc56b04502a3f"),
-        ("count --table 50", "19ddaf67f03de98e3b29afbeee86ef5c8c79270415d8bed683c8a942d125673e"),
-        ("count --table 50 --emit csv",
-         "071d527b687818ed1aef0b07b572a446268e8bb111e77840d7f5d2b3fe2267f6"),
-        # recorded before the divisor sieve became slices and block copies
-        ("count --table 20000 --emit csv",
-         "a88a2061e07fdb045e36a283df000233ba71e9d0bdc1750bc6979529ab79022e"),
-        ("enumerate --norm 10", "8b98976f1e0bccf69eddeeaf43559d698d6c1d6823171ad19d1741efc3c2120e"),
-        ("enumerate --norm 10 --emit text",
-         "e663ef4d34e5516451c583a0dadc40ffc27c0f3871867ffe68ad95de8835292f"),
-        ("bounds", "48084f6828b34179add35f470959a446b74c7ea3eaa869b17ce73b49e4ecbad6"),
-        ("bounds --terms 3", "59c7b04e64481e601e518add7c7cfbec8ff8ed594f55591dc5a8957adfda7b38"),
-        ("rankin --max-prime 100 --max-exponent 12",
-         "4aef316ed332f810cbb2d1903449cc8ba6ebc98bfd4a4cf2602966da0fe7152a"),
-        # recorded before the Euler factors were summed a block of primes at a time
-        ("rankin", "78490e760dafbd4957b2a0e8f4b46e3a3d753816a606e99f73910e4d4ac2ebd3"),
-        ("annuli-check", "4800b62f13b78583ca2db6f2c98c21d941fffd75ee9f8f6dd1b7ecc2c33b31fd"),
-        # recorded before the annuli were scanned one ratio at a time
-        ("annuli-check --max-norm 100000",
-         "ab310e84fcd1192dd3b8d3635a083bc730d0cc9171f4e60a7de93884d04d4cd1"),
-        ("greedy-hur --max-norm 20",
-         "c82acabeb3beff2abf540e061a4e96b1e950895c54b2e8762e9d5729944bc80b"),
-        ("greedy-hur --max-norm 20 --emit csv",
-         "9bf3c9109febe56d619b1626156d340c90831df361ea20037c2a287d10bc002e"),
-        # recorded before the output was rendered from coordinates and streamed
-        ("greedy-hur --max-norm 100",
-         "0b1c57b402a936ac48baec0705511905a30463b655bef6bf987313637bca3209"),
-        ("greedy-hur --max-norm 100 --emit csv",
-         "57901119670291448fedc086ac7bb7099e8b0437cd09c97701d6a34b7c30c42f"),
-        ("count --table 2000",
-         "5a7b362a2473d337493f560e26417f3e442f7ad5210ddfebd08aeedeb3f76488"),
-        ("enumerate --norm 2000 --emit text",
-         "4aa80e84967d409cea93e110c5861ef40d798936e30776a16a9cec13c429033e"),
-        ("freegroup greedy", "21a0f63c8ce8a9b87975d831fed086ded1b114337f5605ee072815be02ec5cda"),
-        # recorded before the word greedy ran on blocked sets of coordinates
-        ("freegroup greedy --max-len 486",
-         "483d50a8700c8db5652a4939dd6b1f575351e6e24def3a406aa022569d4651db"),
-        ("freegroup density", "1d235c89792ecd341ae2e1c18d824ced313b6a0c1e7683211a08403e6e346349"),
-        ("freegroup witness --n 95",
-         "0952eb914f6d64054887bc886320e1cf986362789bd14a4a7689064a8e786033"),
-        ("freegroup witness --n -6",
-         "a2503d205e34c7069e64c1a9cc4d1a3cd2a515f2805183d744736c18d08ecf8c"),
-    ])
+    @pytest.mark.parametrize("argv, sha256", PINNED_BYTES)
     def test_deterministic_bytes(self, argv, sha256, capsys):
         code, out = invoke(capsys, *argv.split())
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
+@pytest.mark.skipif(sys.version_info[:3] != (3, 11, 7),
+                    reason="pinned under CPython 3.11.7; argparse's layout differs between versions")
+class TestHelpBytes:
+    # stdout of each --help and stderr of some usage errors at 80 columns,
+    # recorded while argparse parsed every request; a moved hash means
+    # argparse no longer writes what it wrote then.
+    @pytest.mark.parametrize("argv, code, stream, sha256", [
+        ("--help", 0, "out", "5b567efc0772e8cfb18cdf485aee5b986af62af773c66bec7cff634d14775466"),
+        ("count --help", 0, "out",
+         "c1cb38b459adfdfce698ed50ea763bf36eb59c97f59a74970c5a07ef89bfe230"),
+        ("enumerate --help", 0, "out",
+         "837e356713c7da0b82c4e76a2a7c1bd4d5a48d2fbce062b986c3d2d53a71a3db"),
+        ("bounds --help", 0, "out",
+         "03f629a11187e7c93f0a9c9c9761ad8a4fdfc56fe87ebb46332a9bd82ecd083b"),
+        ("rankin --help", 0, "out",
+         "f78242d38f41d1551fccd85216dd9816d5c7c9d8b3970b2a8d17cf04018d08ca"),
+        ("annuli-check --help", 0, "out",
+         "604fe17c59ab38ca9d45ac1adc4143842c95130aab9ae135f25fb039375f2ce0"),
+        ("greedy-hur --help", 0, "out",
+         "67cdb954bbaee763f6950ea96b06eea17395487df0d1b7738920d4bf813776de"),
+        ("freegroup --help", 0, "out",
+         "623f77c6e6d24124d2bfea7df5ca54f40aadbe47758d887014838ff17b425b3b"),
+        ("freegroup greedy --help", 0, "out",
+         "f2e5681afe848899235ba6a3d5894252b13c1a0335205db29d708da1a9377c18"),
+        ("freegroup density --help", 0, "out",
+         "d028a473854ab9f916985baa3ca8714a8270793cab17d4dae0adfa7261ad20ee"),
+        ("freegroup witness --help", 0, "out",
+         "f8ccd8845da49836294a6fbca95aab340571554df8685e20129d9a1761bd7902"),
+        ("verify-all --help", 0, "out",
+         "32a71af37737c23d5491a937bd220c90e6a195bbae14273abc124c40f52e0607"),
+        ("", 2, "err", "1ade01b04943d00755624bb74294b4a219cd6615a08c4235abb407926a212d64"),
+        ("count", 2, "err", "67c99302efe430a9d165664bc106a659acbbd4bd9cc7b324d14e01ac99a8353e"),
+        ("count --norm 3 --upto 5", 2, "err",
+         "bf5642c8bafae39707d91cd576bb4788a788e09d72e4633e9234893eab1dba7e"),
+        ("count --norm x", 2, "err",
+         "0ee426d3ab9ed83db3118f8c29f6e4b648e29f6fe1d9080f53c416a537be3f7b"),
+        ("enumerate", 2, "err",
+         "b7bd5ac5e819d692e6750fb2f23a0ce4499637c175930d898248a1ed60798705"),
+        ("count --nor", 2, "err",
+         "d9a83db05c0cb04d2230b92a4aa6dc6fe4f6caa639e7586b6982ee73ddffa0e5"),
+        ("freegroup", 2, "err",
+         "70e0b6c51f1daa2a6bd7b185fc03e9a44875e771de991a171866e875c36162a6"),
+        ("no-such-thing", 2, "err",
+         "6e390ef9f4fee17e05a030c6740e0d9deb609980a9106dc7d77620c9e08e745e"),
+        ("count --norm 3 extra", 2, "err",
+         "08a4362f631f99feec9a4c8b8687b6ae6bda601006e3cb26e322e587d96736eb"),
+        ("--output", 2, "err", "f55aa886ee0dd3bfc1a97a39a73308e1d3ee810bfd1e7125c24b40a301a61d0b"),
+    ])
+    def test_pinned(self, argv, code, stream, sha256, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            run(argv.split())
+        assert exc.value.code == code
+        captured = capsys.readouterr()
+        quiet = captured.err if stream == "out" else captured.out
+        assert quiet == ""
+        text = captured.out if stream == "out" else captured.err
+        assert hashlib.sha256(text.encode()).hexdigest() == sha256
+
+
+def load_module(path: Path):
+    """The module at path, a repo file outside the package, loaded on its own."""
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def parsed(argv):
+    """(what the direct parse gives, what parse_args gives) for an argv the direct parse takes."""
+    parser, grammar = _build_parser()
+    args = _direct_parse(argv, grammar)
+    assert args is not None, argv
+    return vars(args), vars(parser.parse_args(argv))
+
+
+class TestDirectParse:
+    # run() parses a well-formed argv itself and leaves every other argv
+    # to argparse; what it parses must be exactly what parse_args gives.
+    def test_seeded_corpus(self):
+        parser, grammar = _build_parser()
+        compare = load_module(ROOT / "scripts" / "compare_cli_parse.py")
+        commands = set()
+        accepted = 0
+        for argv in compare.corpus(23, 3000):
+            args = _direct_parse(argv, grammar)
+            if args is not None:
+                assert vars(args) == vars(parser.parse_args(argv)), argv
+                commands.add((args.command, getattr(args, "subcommand", None)))
+                accepted += 1
+        assert accepted > 600
+        assert commands == {
+            ("count", None), ("enumerate", None), ("bounds", None), ("rankin", None),
+            ("annuli-check", None), ("greedy-hur", None), ("freegroup", "greedy"),
+            ("freegroup", "density"), ("freegroup", "witness"), ("verify-all", None),
+        }
+
+    @pytest.mark.parametrize("argv", [
+        ["count", "--norm", "-15"],
+        ["count", "--norm", "007"],
+        ["count", "--upto", "1_000"],
+        ["count", "--table", " 12 ", "--emit", "csv"],
+        ["count", "--norm", "\u0661\u0662"],
+        ["--output", "-7", "count", "--emit", "json", "--norm", "5"],
+        ["--output", "", "enumerate", "--norm", "2", "--emit", "text"],
+        ["bounds"],
+        ["rankin", "--max-exponent", "3", "--max-prime", "-0"],
+        ["freegroup", "witness", "--n", "-6"],
+        ["freegroup", "density"],
+        ["verify-all", "--quick"],
+        ["verify-all"],
+    ], ids=repr)
+    def test_accepted(self, argv):
+        direct, expected = parsed(argv)
+        assert direct == expected
+
+    @pytest.mark.parametrize("argv", [
+        [], ["-h"], ["--help"], ["count", "-h"], ["freegroup", "witness", "--help"],
+        ["count", "--nor", "5"], ["count", "--norm=5"], ["count", "--norm", "5", "--norm", "6"],
+        ["count", "--", "--norm", "5"], ["count", "--norm", "5", "--"],
+        ["count", "--norm", "x"], ["count", "--norm", "-x"], ["count", "--norm", ""],
+        ["count", "--norm", "-"], ["count", "--norm", "-1.5"], ["count", "--norm", "1.5"],
+        ["count", "--norm", "-\u0661\u0662"], ["count", "--norm", "-1 "],
+        ["count", "--norm", "5", "--emit", "xml"], ["enumerate", "--norm", "5", "--emit", "csv"],
+        ["count", "--norm", "5", "--upto", "3"], ["count"], ["count", "--emit", "csv"],
+        ["enumerate"], ["freegroup", "witness"], ["freegroup"], ["freegroup", "--n", "5"],
+        ["no-such-thing"], ["count", "--norm"], ["--output"], ["--output", "-"],
+        ["--output", "x", "--output", "y", "bounds"], ["count", "--output", "x", "--norm", "5"],
+        ["count", "--norm", "5", "extra"], ["bounds", "--terms"], ["verify-all", "--quick", "1"],
+        ["verify-all", "--quick", "--quick"], ["freegroup", "witness", "--n", "--n"],
+    ], ids=repr)
+    def test_declined(self, argv):
+        assert _direct_parse(argv, _build_parser()[1]) is None
+
+    def test_accepts_the_queries_pool(self, tmp_path):
+        workloads = load_module(ROOT / "perfbench" / "workloads.py")
+        pool = workloads.query_pool(workloads.SIZES["full"])["cli"]
+        assert len(pool) == 45
+        for args in pool:
+            direct, expected = parsed(["--output", str(tmp_path / "cli-1.out"), *args])
+            assert direct == expected
+
+    @pytest.mark.parametrize("argv, sha256", PINNED_BYTES)
+    def test_accepts_pinned_argvs(self, argv, sha256):
+        direct, expected = parsed(argv.split())
+        assert direct == expected
+
+    def test_accepts_readme_examples(self):
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        examples = [line.partition("#")[0].split()[1:] for line in readme.splitlines()
+                    if line.startswith("gpfree ")]
+        assert len(examples) == 13
+        for argv in examples:
+            direct, expected = parsed(argv)
+            assert direct == expected
 
 
 class TestParsing:
@@ -658,3 +822,27 @@ class TestParserReuse:
             texts.append(capsys.readouterr().out)
         assert texts[0] == texts[1]
         assert texts[0].startswith("usage: gpfree ")
+
+    def test_declined_call_between_direct_calls(self, capsys):
+        # argparse alone takes the abbreviation and the = form; all four
+        # calls print the same bytes.
+        outs = []
+        for argv in (["count", "--norm", "5"], ["count", "--nor", "5"],
+                     ["count", "--norm=5"], ["count", "--norm", "5"]):
+            code, out = invoke(capsys, *argv)
+            assert code == 0
+            outs.append(out)
+        assert len(set(outs)) == 1
+
+    def test_usage_error_between_direct_calls(self, tmp_path, capsys):
+        target = tmp_path / "x.csv"
+        assert run(["--output", str(target), "count", "--table", "3", "--emit", "csv"]) == 0
+        with pytest.raises(SystemExit) as exc:
+            run(["count", "--table", "3", "--emit", "xml"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        code, payload = invoke_json(capsys, "count", "--norm", "7")
+        assert code == 0
+        assert payload == {"command": "count", "count": 192, "norm": 7,
+                           "provenance": "odd-divisor-formula"}
+        assert target.read_text().startswith("norm,count,cumulative\n")

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 import tracemalloc
 from collections.abc import ValuesView
 from fractions import Fraction
@@ -173,6 +174,54 @@ class TestFactorizeOracle:
         monkeypatch.setattr(counting, "_odd_primes_limit", 2**16)
         for n in (11 * 13 * 65537, 65521 * 65537, 3 * 65539**2, 2**32 + 15):
             assert list(factorize(n)) == list(factorize_oracle(n)), n
+
+
+class TestLargePrimeCofactor:
+    # Past the table, a cofactor from 2**32 up to the Miller-Rabin bound
+    # is tested for primality before trial division goes on.
+    def test_mersenne_61_counts_fast(self):
+        start = time.perf_counter()
+        assert count_norm_exact(2**61 - 1) == 24 * 2**61
+        assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize("n, pairs", [
+        (3 * (2**61 - 1), [(3, 1), (2**61 - 1, 1)]),
+        (65537 * (2**61 - 1), [(65537, 1), (2**61 - 1, 1)]),
+        (2**5 * 3**2 * 65539 * (2**61 - 1), [(2, 5), (3, 2), (65539, 1), (2**61 - 1, 1)]),
+        # a strong pseudoprime to the bases 2..23, factored past the table
+        (3825123056546413051, [(149491, 1), (747451, 1), (34233211, 1)]),
+    ])
+    def test_factorizations(self, n, pairs):
+        assert list(factorize(n)) == pairs
+
+    @pytest.mark.parametrize("n", [
+        3825123056546413051,  # strong pseudoprime to the bases 2..23
+        318665857834031151167461,  # strong pseudoprime to the bases 2..37
+        (2**31 - 1) * (2**61 - 1),
+    ])
+    def test_strong_pseudoprimes_are_composite(self, n):
+        assert not counting._large_prime(n)
+
+    def test_primes_in_range(self):
+        assert counting._large_prime(2**61 - 1)
+        assert counting._large_prime(2**64 - 59)
+        assert counting._large_prime(2**80 - 65)
+
+    @pytest.mark.parametrize("n", [2**31 - 1, 4294967291, 2**89 - 1])
+    def test_primes_outside_range_are_left_to_trial_division(self, n):
+        # below 2**32 (the table decides those) or past the bound
+        assert not counting._large_prime(n)
+
+    def test_matches_a_segment_sieve_above_2_32(self):
+        # every odd n in [2**32, 2**32 + 20000) against a sieve of that
+        # segment by the primes up to 2**16, which covers its square roots
+        low, size = 2**32, 20_000
+        composite = bytearray(size)
+        for p in counting._primes_upto(2**16):
+            start = -low % p
+            composite[start::p] = bytes([1]) * len(range(start, size, p))
+        for n in range(low + 1, low + size, 2):
+            assert counting._large_prime(n) == (not composite[n - low]), n
 
 
 def test_is_rational_prime_around_the_cap():
