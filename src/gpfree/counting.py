@@ -76,13 +76,12 @@ _MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MILLER_RABIN_BOUND = 3317044064679887385961981
 
 
-def _large_prime(n: int) -> bool:
-    """Whether the odd n is a prime from 2**32 up to _MILLER_RABIN_BOUND, by Miller-Rabin.
+def _probable_prime(n: int) -> bool:
+    """Whether the odd n > 41 passes Miller-Rabin to every base of _MILLER_RABIN_BASES.
 
-    False for every n outside that range, prime or not.
+    False proves n composite.  True proves n prime below
+    _MILLER_RABIN_BOUND, and past it proves nothing.
     """
-    if not _ODD_PRIMES_CAP**2 <= n < _MILLER_RABIN_BOUND:
-        return False
     s = ((n - 1) & (1 - n)).bit_length() - 1
     d = (n - 1) >> s
     for a in _MILLER_RABIN_BASES:
@@ -98,6 +97,75 @@ def _large_prime(n: int) -> bool:
     return True
 
 
+def _large_prime(n: int) -> bool:
+    """Whether the odd n is a prime from 2**32 up to _MILLER_RABIN_BOUND, by Miller-Rabin.
+
+    False for every n outside that range, prime or not.
+    """
+    return _ODD_PRIMES_CAP**2 <= n < _MILLER_RABIN_BOUND and _probable_prime(n)
+
+
+def _split_large(n: int) -> list[tuple[int, int]] | None:
+    """The factorization of an odd n from 2**32 on, as factorize gives it, or None.
+
+    None below 2**32, and for an n past _MILLER_RABIN_BOUND that passes
+    Miller-Rabin, which proves it neither prime nor composite; trial
+    division goes on for those.  Otherwise a perfect square is split at
+    its square root, a prime below the bound is returned whole, and any
+    other n, which Miller-Rabin has proved composite, is split at the
+    divisor ``_rho_divisor`` finds.  Each part goes back to ``factorize``.
+    """
+    if n < _ODD_PRIMES_CAP**2:
+        return None
+    d = math.isqrt(n)
+    if d * d != n:
+        if _large_prime(n):
+            return [(n, 1)]
+        if n >= _MILLER_RABIN_BOUND and _probable_prime(n):
+            return None
+        d = _rho_divisor(n)
+    exponents: dict[int, int] = {}
+    for part in (d, n // d):
+        for p, e in factorize(part):
+            exponents[p] = exponents.get(p, 0) + e
+    return sorted(exponents.items())
+
+
+def _rho_divisor(n: int) -> int:
+    """A divisor d of the odd composite n with 1 < d < n, by Pollard's rho in Brent's form.
+
+    Iterates x -> x*x + c mod n from x = 2 for c = 1, 2, ...; Brent's
+    cycle search compares each x with the value at the last power of
+    two and takes one gcd per batch of 128 differences, stepping back
+    through the batch one difference at a time when the gcd is n.  A c
+    whose walk meets no proper divisor is dropped for the next.  The
+    expected cost is about n**(1/4) steps, as the walk modulo the
+    least prime factor p of n repeats after about sqrt(p) steps.
+    """
+    for c in itertools.count(1):
+        y, power, product, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(power):
+                y = (y * y + c) % n
+            k = 0
+            while k < power and g == 1:
+                saved = y
+                for _ in range(min(128, power - k)):
+                    y = (y * y + c) % n
+                    product = product * (x - y) % n
+                g = math.gcd(product, n)
+                k += 128
+            power *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                saved = (saved * saved + c) % n
+                g = math.gcd(x - saved, n)
+        if g != n:
+            return g
+
+
 def factorize(n: int):
     """Yield the prime factorization of n as (p, e) pairs by ascending p.
 
@@ -109,12 +177,12 @@ def factorize(n: int):
     2**16; so any n < 2**32 is factored from the table alone.  Past the
     last prime of the table the generator holds, trial division goes on
     over the odd numbers after that prime; but first, and again after
-    each factor found there, a cofactor from 2**32 up to
-    _MILLER_RABIN_BOUND is tested by _large_prime and ends the search if
-    it is prime.  So a large prime times small ones is fast, while a
-    product of two primes above 2**16 is still trial-divided up to the
-    smaller, and a cofactor past the bound up to its square root or its
-    next factor.
+    each factor found there, a cofactor from 2**32 on is handed to
+    ``_split_large``.  That ends the search for a prime below
+    _MILLER_RABIN_BOUND and for any cofactor Miller-Rabin proves
+    composite, which Pollard's rho splits.  So only a cofactor past the
+    bound that passes Miller-Rabin is still trial-divided, up to its
+    square root or its next factor.
 
     Raises:
         ValueError: if n < 1.
@@ -139,8 +207,8 @@ def factorize(n: int):
             root = math.isqrt(n)
     else:
         f = primes[-1] + 2
-        prime = _large_prime(n)
-        while f <= root and not prime:
+        rest = _split_large(n)
+        while f <= root and rest is None:
             if n % f == 0:
                 e = 0
                 while n % f == 0:
@@ -148,8 +216,12 @@ def factorize(n: int):
                     e += 1
                 yield f, e
                 root = math.isqrt(n)
-                prime = _large_prime(n)
+                rest = _split_large(n)
             f += 2
+        if rest is not None:
+            # Every prime factor of n is at least f, past those yielded.
+            yield from rest
+            return
     if n > 1:
         yield n, 1
 

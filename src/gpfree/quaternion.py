@@ -13,7 +13,10 @@ Norm classes come from one lazy row scan over a two-square table,
 the shared parity of its four arguments; ``enumerate_norm`` alone skips
 that check, because the scan yields only same-parity quadruples.
 ``enumerate_norm`` builds a class with the cyclic garbage collector
-paused (see ``_collector_paused``).
+paused (see ``_collector_paused``).  ``factor_modelled`` scans no class:
+it takes each prime factor of norm p as the least right associate of a
+generator of the right ideal cH + pH, c the cofactor, which the order's
+Euclidean algorithm (``_right_gcd``) finds in O(log p) steps.
 """
 
 from __future__ import annotations
@@ -45,8 +48,9 @@ def _mul(p: tuple[int, int, int, int], q: tuple[int, int, int, int]) -> tuple[in
     """Product of two elements given as doubled-coordinate tuples.
 
     The one Hamilton product in the package: ``HurwitzInt.__mul__`` wraps
-    it, and ``_left_quotient``, ``is_unit_square_representable`` and
-    ``greedy`` call it directly on tuples.
+    it, and ``_left_quotient``, ``_right_gcd``, ``_least_right_associate``,
+    ``is_unit_square_representable`` and ``greedy`` call it directly on
+    tuples.
     """
     a1, b1, c1, d1 = p
     a2, b2, c2, d2 = q
@@ -396,15 +400,85 @@ class ModelledFactorization:
         return acc
 
 
+def _right_gcd(a: tuple[int, int, int, int],
+               b: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
+    """Doubled coordinates of a g with gH = aH + bH, by the Euclidean algorithm.
+
+    The Hurwitz order is right Euclidean: every real quaternion lies
+    within distance 1/sqrt(2) of a Hurwitz integer, the nearer of its
+    nearest Lipschitz point (integer coordinates) and its nearest point
+    with half-odd coordinates.  So with t that point for b^-1 a, the
+    remainder a - b*t = b(b^-1 a - t) has at most half the norm of b,
+    and (a, b) -> (b, a - b*t) keeps the right ideal aH + bH while b
+    reaches 0 in O(log norm(b)) steps.
+
+    Raises:
+        AssertionError: if a remainder fails to shrink, which would
+            leave the loop without a bound.
+    """
+    while any(b):
+        b1, b2, b3, b4 = b
+        n = (b1 * b1 + b2 * b2 + b3 * b3 + b4 * b4) // 4
+        m = 2 * n
+        # x = conj(b) * a = n * b^-1 a, so b^-1 a has real coordinates x / m.
+        x = _mul((b1, -b2, -b3, -b4), a)
+        # t is first the nearest Lipschitz point, in doubled coordinates,
+        # and e holds m times the coordinates of b^-1 a - t, each in [-n, n).
+        t = [2 * ((xi + n) // m) for xi in x]
+        e = [xi - n * ti for xi, ti in zip(x, t)]
+        # The nearest half-odd point moves each coordinate by 1/2 towards
+        # b^-1 a, so it is nearer exactly when sum(|e_i|) / m exceeds 1.
+        if sum(map(abs, e)) > m:
+            t = [ti + 1 if ei >= 0 else ti - 1 for ti, ei in zip(t, e)]
+        a1, a2, a3, a4 = a
+        s1, s2, s3, s4 = _mul(b, t)
+        r1, r2, r3, r4 = r = (a1 - s1, a2 - s2, a3 - s3, a4 - s4)
+        if (r1 * r1 + r2 * r2 + r3 * r3 + r4 * r4) // 4 >= n:
+            raise AssertionError(f"Euclid step from {a} by {b} leaves {r}, no smaller")
+        a, b = b, r
+    return a
+
+
+def _least_right_associate(g: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
+    """The lexicographically least of the 24 right associates g * u of g.
+
+    Each unit is w^k * s, with w = (1 + i + j + k)/2, k in 0, 1, 2 and s
+    one of +-1, +-i, +-j, +-k.  Right multiplication by such an s only
+    permutes and negates coordinates, so two products give all 24.
+    """
+    return min(min((a, b, c, d), (-a, -b, -c, -d), (-b, a, d, -c), (b, -a, -d, c),
+                   (-c, -d, a, b), (c, d, -a, -b), (-d, c, -b, a), (d, -c, b, -a))
+               for a, b, c, d in (g, _mul(g, (1, 1, 1, 1)), _mul(g, (-1, 1, 1, 1))))
+
+
 def factor_modelled(q: HurwitzInt, prime_norms) -> ModelledFactorization:
     """Factor q into primes whose norms follow the given ordered model.
 
-    Works by successive extraction: for each modelled norm p, scan the
-    norm-p class lazily in lexicographic order and take the first element
-    that left divides what remains; the rest of the class is never built.
-    Such an element always exists when the model multiplies to norm(q).
+    Works by successive extraction: for each modelled norm p, take the
+    lexicographically least element of norm p that left divides what
+    remains, the cofactor c, and divide it out.  That element is found
+    without a scan of the norm-p class.  The order is Euclidean, so the
+    right ideal cH + pH is gH for a g that ``_right_gcd`` finds.
+
+    - Index.  As p divides N(c), c has a left divisor d of norm p (Conway
+      and Smith, *On Quaternions and Octonions*, ch. 5).  As d divides c
+      and p = d * conj(d), dH contains gH, which contains pH; so p
+      divides N(g), which divides N(p) = p^2.  A right ideal gH has index
+      N(g)^2 in H.
+    - If c is not in pH, then gH is not pH, so N(g) = p and cH + pH has
+      index p^2.  Each norm-p left divisor d of c is then g times a unit:
+      the norm-p left divisors of c are exactly the 24 right associates
+      g * u, and the least of them is the one a lexicographic scan of the
+      class would meet first.
+    - If c is in pH, then gH = pH and N(g) = p^2.  Every norm-p element
+      divides p, hence c, so the first element of the class is taken.
+
     The unit left over at the end is absorbed into the last factor, which
     keeps its norm.
+
+    One limit: a cofactor in pH at a large p still reads the first
+    element of the norm-p class, which builds the two-square table up
+    to 4p.
 
     Args:
         q: nonzero element to factor.
@@ -434,14 +508,17 @@ def factor_modelled(q: HurwitzInt, prime_norms) -> ModelledFactorization:
     factors = []
     rest = q.coords
     for p in model:
-        for cand in _norm_coords(p):
-            quot = _left_quotient(cand, rest)
-            if quot is not None:
-                factors.append(HurwitzInt(*cand))
-                rest = quot
-                break
+        g = _right_gcd((2 * p, 0, 0, 0), rest)
+        g1, g2, g3, g4 = g
+        if (g1 * g1 + g2 * g2 + g3 * g3 + g4 * g4) // 4 == p:
+            cand = _least_right_associate(g)
         else:
+            cand = next(_norm_coords(p))
+        quot = _left_quotient(cand, rest)
+        if quot is None:
             raise AssertionError(f"no norm-{p} left factor of {rest}; model {model}")
+        factors.append(HurwitzInt(*cand))
+        rest = quot
     rest = HurwitzInt(*rest)
     if not rest.is_unit():
         raise AssertionError(f"factors of {q} leave the non-unit {rest}; model {model}")

@@ -177,11 +177,19 @@ class TestFactorizeOracle:
 
 
 class TestLargePrimeCofactor:
-    # Past the table, a cofactor from 2**32 up to the Miller-Rabin bound
-    # is tested for primality before trial division goes on.
+    # Past the table, a cofactor from 2**32 on is proved prime below the
+    # Miller-Rabin bound, or proved composite and split by Pollard's rho,
+    # before trial division goes on.
     def test_mersenne_61_counts_fast(self):
         start = time.perf_counter()
         assert count_norm_exact(2**61 - 1) == 24 * 2**61
+        assert time.perf_counter() - start < 1
+
+    def test_product_of_two_large_primes_counts_fast(self):
+        # 4.95e27, past the Miller-Rabin bound, but proved composite by it
+        start = time.perf_counter()
+        n = (2**31 - 1) * (2**61 - 1)
+        assert count_norm_exact(n) == 24 * 2**31 * 2**61
         assert time.perf_counter() - start < 1
 
     @pytest.mark.parametrize("n, pairs", [
@@ -190,9 +198,23 @@ class TestLargePrimeCofactor:
         (2**5 * 3**2 * 65539 * (2**61 - 1), [(2, 5), (3, 2), (65539, 1), (2**61 - 1, 1)]),
         # a strong pseudoprime to the bases 2..23, factored past the table
         (3825123056546413051, [(149491, 1), (747451, 1), (34233211, 1)]),
+        ((2**31 - 1) * (2**61 - 1), [(2**31 - 1, 1), (2**61 - 1, 1)]),
+        ((2**31 - 1) ** 2, [(2**31 - 1, 2)]),
+        (65537 * 65539 * 65543, [(65537, 1), (65539, 1), (65543, 1)]),
+        (65537**3, [(65537, 3)]),
+        (3 * 65537**5, [(3, 1), (65537, 5)]),
+        ((2**31 - 1) ** 2 * (2**61 - 1), [(2**31 - 1, 2), (2**61 - 1, 1)]),
     ])
     def test_factorizations(self, n, pairs):
         assert list(factorize(n)) == pairs
+
+    @pytest.mark.parametrize("n", [
+        65537 * 65539, 65537**3, 3825123056546413051, 318665857834031151167461,
+        (2**31 - 1) * (2**61 - 1), 1000003 * 1000033 * 1000037,
+    ])
+    def test_rho_finds_a_proper_divisor(self, n):
+        d = counting._rho_divisor(n)
+        assert 1 < d < n and n % d == 0
 
     @pytest.mark.parametrize("n", [
         3825123056546413051,  # strong pseudoprime to the bases 2..23

@@ -10,6 +10,7 @@ import gc
 import itertools
 import math
 import random
+import signal
 import weakref
 
 import pytest
@@ -17,15 +18,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpfree import quaternion
-from gpfree.counting import factorize
+from gpfree.counting import factorize, is_rational_prime
 from gpfree.greedy import build_greedy
 from gpfree.quaternion import (
     ONE,
     HurwitzInt,
     ModelledFactorization,
     _collector_paused,
+    _least_right_associate,
+    _mul,
     _norm_coords,
     _norm_rows,
+    _right_gcd,
     enumerate_norm,
     factor_modelled,
     format_elements,
@@ -107,6 +111,32 @@ def nonzero_quaternions(max_half=12):
     return quaternions(max_half).filter(lambda q: not q.is_zero())
 
 
+def seeded_element(rng, max_norm, min_norm=1):
+    """A seeded random element with norm in [min_norm, max_norm]."""
+    half = math.isqrt(max_norm)
+    while True:
+        parity = rng.randrange(2)
+        q = HurwitzInt(*(2 * rng.randint(-half, half) + parity for _ in range(4)))
+        if min_norm <= q.norm() <= max_norm:
+            return q
+
+
+def element_of_prime_norm(rng, near):
+    """A seeded random element whose norm is a prime a little below near."""
+    half = math.isqrt(near // 3)
+    while True:
+        parity = rng.randrange(2)
+        da, db, dc = (2 * rng.randint(-half, half) + parity for _ in range(3))
+        rest = 4 * near - da * da - db * db - dc * dc
+        if rest < 0:
+            continue
+        dd = math.isqrt(rest)
+        dd -= (dd ^ parity) & 1
+        q = HurwitzInt(da, db, dc, dd)
+        if is_rational_prime(q.norm()):
+            return q
+
+
 class TestConstruction:
     def test_mixed_parity_rejected(self):
         with pytest.raises(ValueError):
@@ -169,6 +199,25 @@ class TestArithmetic:
         assert -(-a) == a
         assert hash(a) == hash(HurwitzInt(*a.coords))
         assert (a == ZERO) == a.is_zero()
+
+
+class DeadlinePassed(BaseException):
+    """Raised by the deadline fixture; not an Exception, so hypothesis does not retry the example."""
+
+
+@pytest.fixture
+def deadline():
+    """Fail a test that runs past 30 s, so that a Euclid loop that does not end fails rather than hangs."""
+    def expire(signum, frame):
+        raise DeadlinePassed("test ran past its 30 s deadline")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 30)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def unfiltered_norm_rows(norm):
@@ -302,6 +351,7 @@ class TestDivision:
             left_divide(ZERO, ONE)
 
 
+@pytest.mark.usefixtures("deadline")
 class TestFactorization:
     def test_known_models(self):
         q = HurwitzInt.from_integers(1, 2, 3, 4)
@@ -384,6 +434,58 @@ class TestFactorization:
         for model in set(itertools.permutations(primes)):
             assert factor_modelled(q, model).factors == full_class_factors(q, model)
 
+    def test_matches_full_class_scan_seeded(self):
+        # The queries benchmark's range: norms to 2000, models in any order.
+        rng = random.Random(2401)
+        for _ in range(300):
+            q = seeded_element(rng, 2000, 2)
+            model = prime_model(q.norm())
+            rng.shuffle(model)
+            assert factor_modelled(q, model).factors == full_class_factors(q, model), (q, model)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+    def test_matches_full_class_scan_on_multiples_of_p(self, p):
+        # q = p * y lies in pH, so with p first in the model the generator
+        # of qH + pH has norm p^2 and the first element of the class is taken.
+        rng = random.Random(p)
+        for _ in range(25):
+            y = seeded_element(rng, 200)
+            q = HurwitzInt(2 * p, 0, 0, 0) * y
+            rest = prime_model(y.norm())
+            rng.shuffle(rest)
+            for model in {(p, p, *rest), (p, *rest, p), (*rest, p, p)}:
+                assert factor_modelled(q, model).factors == full_class_factors(q, model), (q, model)
+
+    def test_matches_full_class_scan_on_powers_of_2(self):
+        # The norm-2^k class is (1 + i)^k times the units, and 2 is ramified.
+        for k in range(1, 9):
+            for q in enumerate_norm(2**k):
+                model = (2,) * k
+                assert factor_modelled(q, model).factors == full_class_factors(q, model)
+
+    @pytest.mark.parametrize("norms", [(2, 2, 3), (2, 3, 3, 5), (2, 2, 2, 7), (3, 5, 7), (2, 13, 13)])
+    def test_matches_full_class_scan_every_ordering_of_mixed_models(self, norms):
+        rng = random.Random(sum(norms))
+        for _ in range(4):
+            q = ONE
+            for p in norms:
+                q = q * rng.choice(enumerate_norm(p))
+            for model in set(itertools.permutations(norms)):
+                assert factor_modelled(q, model).factors == full_class_factors(q, model), (q, model)
+
+    def test_primes_near_10_9(self):
+        # Past the oracle's reach: the factors must still have the modelled
+        # norms and multiply back to q.
+        rng = random.Random(10**9)
+        for _ in range(5):
+            parts = [element_of_prime_norm(rng, 10**9) for _ in range(3)]
+            q = parts[0] * parts[1] * parts[2]
+            norms = [x.norm() for x in parts]
+            for model in set(itertools.permutations(norms)):
+                f = factor_modelled(q, model)
+                assert tuple(x.norm() for x in f.factors) == model
+                assert f.product() == q
+
     def test_rejects_bad_model(self):
         q = HurwitzInt.from_integers(1, 2, 3, 4)
         with pytest.raises(ValueError):
@@ -392,6 +494,58 @@ class TestFactorization:
             factor_modelled(q, (6, 5))
         with pytest.raises(ValueError):
             factor_modelled(ZERO, (2,))
+
+
+@pytest.mark.usefixtures("deadline")
+class TestRightGcd:
+    # _right_gcd(a, b) returns a g with gH = aH + bH.  factor_modelled calls
+    # it with a = p and b a cofactor whose norm p divides.
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 101, 1999])
+    def test_generates_the_ideal_of_p_and_b(self, p):
+        rng = random.Random(p)
+        done = 0
+        while done < 40:
+            b = seeded_element(rng, 50 * p)
+            if rng.random() < 0.25:
+                b = HurwitzInt(2 * p, 0, 0, 0) * b
+            if b.norm() % p:
+                continue
+            g = HurwitzInt(*_right_gcd((2 * p, 0, 0, 0), b.coords))
+            assert left_divide(g, HurwitzInt(2 * p, 0, 0, 0)) is not None
+            assert left_divide(g, b) is not None
+            in_ph = left_divide(HurwitzInt(2 * p, 0, 0, 0), b) is not None
+            assert g.norm() == (p * p if in_ph else p), (p, b)
+            done += 1
+
+    def test_each_divisor_at_most_half_the_last(self, monkeypatch):
+        # A step multiplies conj(b) * a, then b * t, so every other product
+        # shows the divisor b of one step.  Each remainder, the next b, has
+        # at most half its norm, so the loop ends within log2(N(b)) + 1 steps.
+        products = []
+
+        def recording_mul(x, y):
+            if len(products) > 1000:
+                raise RuntimeError("Euclid does not terminate")
+            products.append(x)
+            return _mul(x, y)
+
+        monkeypatch.setattr(quaternion, "_mul", recording_mul)
+        rng = random.Random(7)
+        for _ in range(500):
+            a = seeded_element(rng, 10**6)
+            b = seeded_element(rng, 10**6)
+            products.clear()
+            _right_gcd(a.coords, b.coords)
+            norms = [HurwitzInt(*x).norm() for x in products[::2]]
+            assert norms[0] == b.norm()
+            assert all(2 * later <= earlier for earlier, later in zip(norms, norms[1:])), (a, b)
+            assert len(norms) <= b.norm().bit_length(), (a, b)
+
+    def test_lexicographically_least_right_associate(self):
+        rng = random.Random(24)
+        for _ in range(2000):
+            g = seeded_element(rng, 10**4).coords
+            assert _least_right_associate(g) == min(_mul(g, u.coords) for u in units())
 
 
 class TestGpTriple:
