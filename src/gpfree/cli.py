@@ -63,7 +63,6 @@ from .density import (
     verify_annuli_gp_free,
 )
 from .freegroup import (
-    greedy_set_contains,
     greedy_set_density,
     greedy_words_bruteforce,
     greedy_words_density,
@@ -388,7 +387,7 @@ def _cmd_freegroup_witness(args) -> tuple[dict | str, int]:
     wit = witness_progression(args.n)
     payload = {
         "command": "freegroup-witness",
-        "member": greedy_set_contains(args.n),
+        "member": wit is None,
         "n": args.n,
         "provenance": "ternary-digit-construction",
         "ternary": ternary(args.n),

@@ -19,12 +19,23 @@ w, w * r = I, I * r = w is a progression with a repeated term.  The
 identity is kept first, so every odd word is excluded this way, which
 is why the word greedy keeps even-length words only; counting distinct
 terms only would keep some odd words as well.
+
+Membership, ``ternary`` and the witnesses read one digit string.  |n|
+is rendered once as a str of base-3 digits, least significant first
+(digit place p, counted from 1, is index p - 1), six digits per divmod
+through a table of the 729 six-digit strings.  A membership test is
+then an ``lstrip("0")`` and a search for "1"; a witness endpoint is
+written by ``str.split`` at the 1-places and ``str.translate`` over the
+runs between them, and read back with ``int(piece, 3)`` one piece of
+640 digits at a time, since ``int`` refuses longer strings under the
+least limit ``sys.set_int_max_str_digits`` accepts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 __all__ = [
     "IDENTITY",
@@ -160,21 +171,46 @@ def alt_order_value(n: int) -> int:
     return n // 2 if n % 2 == 0 else -(n // 2)
 
 
-def _digits(m: int) -> list[int]:
+# The digit strings of 0 .. 3**6 - 1, least significant digit first.
+_CHUNK_DIGITS = tuple(digits[::-1] for digits in map("".join, product("012", repeat=6)))
+_PIECE = 640
+_PIECE_SCALE = 3**_PIECE
+
+
+def _lsd(m: int) -> str:
     """Base-3 digits of m >= 0, least significant first; empty for 0."""
-    out = []
-    while m:
-        out.append(m % 3)
-        m //= 3
-    return out
+    chunks = []
+    while m >= 3**6:
+        m, r = divmod(m, 3**6)
+        chunks.append(_CHUNK_DIGITS[r])
+    chunks.append(_CHUNK_DIGITS[m])
+    return "".join(chunks).rstrip("0")
+
+
+def _value(digits: str) -> int:
+    """The number whose base-3 digits, least significant first, are digits."""
+    value = 0
+    for start in range((len(digits) - 1) // _PIECE * _PIECE, -1, -_PIECE):
+        value = value * _PIECE_SCALE + int(digits[start:start + _PIECE][::-1], 3)
+    return value
+
+
+def _member(digits: str, negative: bool) -> bool:
+    """Whether the greedy set holds the number of the given sign whose
+    base-3 digits, least significant first, are digits."""
+    if negative:
+        return "1" not in digits
+    # The lowest nonzero digit is a 1 (or there is none: zero), and no
+    # other digit is.
+    rest = digits.lstrip("0")
+    return rest[:1] != "2" and "1" not in rest[1:]
 
 
 def ternary(n: int) -> str:
     """Base-3 rendering, most significant digit first, '-' for negatives."""
     if n == 0:
         return "0"
-    ds = _digits(abs(n))
-    body = "".join(str(d) for d in reversed(ds))
+    body = _lsd(abs(n))[::-1]
     return "-" + body if n < 0 else body
 
 
@@ -185,25 +221,7 @@ def greedy_set_contains(n: int) -> bool:
     below it; a negative member has no digit 1 at all in |n|.  Zero is a
     member.
     """
-    if n == 0:
-        return True
-    if n > 0:
-        while n % 3 == 0:
-            n //= 3
-        if n % 3 != 1:
-            return False
-        n //= 3
-        while n:
-            if n % 3 == 1:
-                return False
-            n //= 3
-        return True
-    m = -n
-    while m:
-        if m % 3 == 1:
-            return False
-        m //= 3
-    return True
+    return _member(_lsd(abs(n)), n < 0)
 
 
 class _Blocked:
@@ -313,24 +331,15 @@ def greedy_set_density(n: int) -> Fraction:
     return Fraction(2 ** (n + 1), 1 + 2 * 3**n)
 
 
-def _ones_places(digits: list[int]) -> list[int]:
-    """1-based places of the digit 1, ascending."""
-    return [i + 1 for i, d in enumerate(digits) if d == 1]
-
-
-def _spans(ones: list[int], start: int) -> set[int]:
-    """The places in [i_q, i_{q+1}) for q = start, start + 2, ..., from the 1-places ones."""
-    return {p for q in range(start, len(ones) - 1, 2) for p in range(ones[q], ones[q + 1])}
-
-
-def _twos(digits: list[int], places) -> set[int]:
-    """The places among places where digits has a 2."""
-    return {p for p in places if digits[p - 1] == 2}
-
-
-def _from_places(twos: set[int]) -> int:
-    """The number with digit 2 at the given 1-based places and 0 elsewhere."""
-    return sum(2 * 3 ** (p - 1) for p in twos)
+# A digit of an interval of class U is written 3, 4 or 5 in place of 0,
+# 1 or 2.  The 1-place that ends a piece (below) starts the next
+# interval, of the other class, so a 1 marks a 1-place of class U and a
+# 4 one of class T.  Each table maps the marked digits of |n| to those
+# of one endpoint.
+_CLASS_U = str.maketrans("012", "345")
+_A_DIGITS = str.maketrans("012345", "002200")
+_B_FILL_U = str.maketrans("012345", "022202")
+_B_FILL_T = str.maketrans("012345", "020002")
 
 
 def witness_progression(n: int) -> tuple[int, int, int] | None:
@@ -341,72 +350,67 @@ def witness_progression(n: int) -> tuple[int, int, int] | None:
     == r != 0, so (a, b, n) is the progression that blocked n.  Returns
     None for members.
 
-    The construction works on base-3 digits.  Writing i_1 < i_2 < ...
-    for the places of the digit 1, the blocked midpoint b keeps a digit
-    1 only at i_1 (positive n) and otherwise uses digits 0 and 2 chosen
-    pairwise along the 1-places; adjustments for an all-{0,2} prefix
-    above the leading 1 and for trailing zeros are linear.
+    The construction works on the base-3 digits of |n|.  The places
+    i_1 < ... < i_L of the digit 1 cut them into the digits below i_1
+    and L intervals [i_j, i_{j+1}), the last one running to the top
+    digit; an interval is of class T when L - j is even (the topmost one
+    is) and of class U otherwise.  Digit by digit:
+    - a (|a| when negative) keeps the digits of |n| on class T, swaps
+      0 and 2 on class U, and writes 0 at every 1-place.  With L odd, a
+      is positive: below i_1 it is 3**(i_1 - 1) minus the number that
+      the digits of |n| below i_1 make, so its one digit 1 sits at the
+      lowest nonzero digit of |n|.  With L even, a is negative and keeps
+      the digits below i_1; the digit at i_1 is a 2 for positive n.
+    - b (|b| when negative) fills one class, 1-places included: class U
+      with 2s when n > 0 and L is odd or n < 0 and L is even, else class
+      T with 0s.  The other class keeps the digits of |n|, and its
+      1-places become 0 on class T and 2 on class U.  For positive n, b
+      keeps the digit 1 at i_1 and is 0 below it; for negative n it
+      keeps the digits below i_1.
+    Positive n with no digit 1 has lowest nonzero digit 2 at some place
+    i, and lowering it to 1 gives the ratio: b = 3**(i - 1).
     """
-    if greedy_set_contains(n):
+    negative = n < 0
+    digits = _lsd(abs(n))
+    if _member(digits, negative):
         return None
-    if n > 0:
-        a, b = _positive_witness(n)
-    else:
-        a, b = _negative_witness(n)
+    a_negative, a_digits, b_digits = _witness_digits(digits, negative)
+    a, b = _value(a_digits), _value(b_digits)
+    if a_negative:
+        a = -a
+    if negative:
+        b = -b
     r = n - b
     if not (b - a == r != 0 and abs(a) <= abs(n) and abs(b) < abs(n)
-            and greedy_set_contains(a) and greedy_set_contains(b)):
+            and _member(a_digits, a_negative) and _member(b_digits, negative)):
         raise AssertionError(f"({a}, {b}, {n}) is not a blocking progression")
     return (a, b, r)
 
 
-def _positive_witness(n: int) -> tuple[int, int]:
-    scale = 1
-    core = n
-    while core % 3 == 0:
-        core //= 3
-        scale *= 3
-    digits = _digits(core)
-    ones = _ones_places(digits)
-    if not ones:
-        # Last digit is 2: lowering it to 1 gives the blocking ratio.
-        ratio = core - 1
-        return (scale * (core - 2 * ratio), scale * (core - ratio))
-    # Split off the {0,2} prefix above the topmost 1; it shifts the
-    # endpoint and the ratio but never the digit pattern below.
-    k = ones[-1]
-    m = core % 3**k
-    shift = core - m
-    # The midpoint keeps the lowest 1.
-    b = 3 ** (ones[0] - 1)
-    if len(ones) % 2:
-        # Odd number of 1-places: above the lowest 1, place a 2
-        # wherever the core has a 2 and across each interval
-        # [i_{2q}, i_{2q+1}).
-        b += _from_places(_twos(digits, range(ones[0] + 1, k)) | _spans(ones, 1))
-        a, b = 2 * b - m + shift, b + shift
-    else:
-        # Even number of 1-places: place a 2 on every second upper
-        # 1-place i_3, i_5, ... and wherever the core has a 2 strictly
-        # inside a pair interval (i_{2q-1}, i_{2q}).
-        b += _from_places(set(ones[2::2]) | _twos(digits, _spans(ones, 0)))
-        a = 2 * b - m - shift
-    return (scale * a, scale * b)
-
-
-def _negative_witness(n: int) -> tuple[int, int]:
-    digits = _digits(-n)
-    ones = _ones_places(digits)
-    if len(ones) % 2 == 0:
-        # All core 2s survive; each pair interval [i_{2q-1}, i_{2q})
-        # fills with 2s.
-        twos = _twos(digits, range(1, len(digits) + 1)) | _spans(ones, 0)
-    else:
-        # The 1-places above i_1 pair as (i_2, i_3), (i_4, i_5), ...;
-        # inside each pair interval every nonzero digit place is taken,
-        # and borrow chains sweep the zero gaps.  Any 2 below i_1 is
-        # taken as well, the lowest becoming the surviving 1 of the far
-        # endpoint; with no such 2 the place i_1 itself survives.
-        twos = {p for p in _spans(ones, 1) if digits[p - 1]} | _twos(digits, range(1, ones[0]))
-    b = -_from_places(twos)
-    return (2 * b - n, b)
+def _witness_digits(digits: str, negative: bool) -> tuple[bool, str, str]:
+    """Whether a is negative, and the digits of |a| and |b|, for
+    witness_progression, from the digits of |n| (least significant first)."""
+    lowest = len(digits) - len(digits.lstrip("0"))
+    first_one = digits.find("1")
+    if first_one < 0:
+        return True, digits[:lowest] + "0" + digits[lowest + 1:], "0" * lowest + "1"
+    # Each piece ends at a 1-place: piece k holds the interior of
+    # interval k and the place i_{k+1}, piece 0 the digits below i_1.
+    # The pieces with L - k odd are marked as class U, piece 0 among them
+    # when L is odd, which keeps the digits below i_1 as they are in b
+    # for negative n.
+    cut = digits.replace("1", "1,")
+    pieces = cut.split(",")
+    ones = len(pieces) - 1
+    pieces[1 - ones % 2::2] = cut.translate(_CLASS_U).split(",")[1 - ones % 2::2]
+    marked = "".join(pieces)
+    fill_u = negative != (ones % 2 == 1)
+    b = marked.translate(_B_FILL_U if fill_u else _B_FILL_T)
+    if not negative:
+        b = "0" * first_one + "1" + b[first_one + 1:]
+    a = marked.translate(_A_DIGITS)
+    if ones % 2:
+        return False, digits[:lowest] + "1" + a[lowest + 1:], b
+    if not negative:
+        a = a[:first_one] + "2" + a[first_one + 1:]
+    return True, a, b

@@ -575,6 +575,10 @@ PINNED_BYTES = [
      "0952eb914f6d64054887bc886320e1cf986362789bd14a4a7689064a8e786033"),
     ("freegroup witness --n -6",
      "a2503d205e34c7069e64c1a9cc4d1a3cd2a515f2805183d744736c18d08ecf8c"),
+    # recorded before the witnesses were built on chunked digit strings;
+    # |n| has 29 base-3 digits, five 6-digit chunks
+    ("freegroup witness --n -58244235879234",
+     "6d0b999f577d694af05a7999090c7068ac733246475dfc71258b6b1e3e7a3c51"),
 ]
 
 

@@ -4,7 +4,9 @@ Multiplication is cross-checked against a literal string rewriter and
 the greedy integer set against a from-scratch re-run of the greedy
 process, so the closed forms never test themselves.  The blocked-set
 greedies are compared with element-by-element greedies that rescan the
-kept set for every candidate, the words through word_mul.
+kept set for every candidate, the words through word_mul, and the
+digit-string kernel behind membership, ternary and the witnesses with
+the digit-at-a-time construction it replaced.
 """
 
 import functools
@@ -13,9 +15,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import gpfree.freegroup as freegroup
 from gpfree.freegroup import (
     IDENTITY,
     Word,
@@ -137,6 +140,135 @@ def oracle_words(max_len):
     return frozenset(chosen)
 
 
+# The digit-at-a-time construction that the digit-string kernel
+# replaced, kept as its oracle: one base-3 digit per % 3 and // 3, the
+# 1-places as a list and the digit 2s of the witnesses as sets of places.
+
+
+def _digits(m):
+    """Base-3 digits of m >= 0, least significant first; empty for 0."""
+    out = []
+    while m:
+        out.append(m % 3)
+        m //= 3
+    return out
+
+
+def oracle_ternary(n):
+    if n == 0:
+        return "0"
+    body = "".join(str(d) for d in reversed(_digits(abs(n))))
+    return "-" + body if n < 0 else body
+
+
+def oracle_contains(n):
+    if n == 0:
+        return True
+    if n > 0:
+        while n % 3 == 0:
+            n //= 3
+        if n % 3 != 1:
+            return False
+        n //= 3
+        while n:
+            if n % 3 == 1:
+                return False
+            n //= 3
+        return True
+    m = -n
+    while m:
+        if m % 3 == 1:
+            return False
+        m //= 3
+    return True
+
+
+def _ones_places(digits):
+    """1-based places of the digit 1, ascending."""
+    return [i + 1 for i, d in enumerate(digits) if d == 1]
+
+
+def _spans(ones, start):
+    """The places in [i_q, i_{q+1}) for q = start, start + 2, ..., from the 1-places ones."""
+    return {p for q in range(start, len(ones) - 1, 2) for p in range(ones[q], ones[q + 1])}
+
+
+def _twos(digits, places):
+    """The places among places where digits has a 2."""
+    return {p for p in places if digits[p - 1] == 2}
+
+
+def _from_places(twos):
+    """The number with digit 2 at the given 1-based places and 0 elsewhere."""
+    return sum(2 * 3 ** (p - 1) for p in twos)
+
+
+def _positive_witness(n):
+    scale = 1
+    core = n
+    while core % 3 == 0:
+        core //= 3
+        scale *= 3
+    digits = _digits(core)
+    ones = _ones_places(digits)
+    if not ones:
+        # Last digit is 2: lowering it to 1 gives the blocking ratio.
+        ratio = core - 1
+        return (scale * (core - 2 * ratio), scale * (core - ratio))
+    # Split off the {0,2} prefix above the topmost 1; it shifts the
+    # endpoint and the ratio but never the digit pattern below.
+    k = ones[-1]
+    m = core % 3**k
+    shift = core - m
+    # The midpoint keeps the lowest 1.
+    b = 3 ** (ones[0] - 1)
+    if len(ones) % 2:
+        # Odd number of 1-places: above the lowest 1, place a 2
+        # wherever the core has a 2 and across each interval
+        # [i_{2q}, i_{2q+1}).
+        b += _from_places(_twos(digits, range(ones[0] + 1, k)) | _spans(ones, 1))
+        a, b = 2 * b - m + shift, b + shift
+    else:
+        # Even number of 1-places: place a 2 on every second upper
+        # 1-place i_3, i_5, ... and wherever the core has a 2 strictly
+        # inside a pair interval (i_{2q-1}, i_{2q}).
+        b += _from_places(set(ones[2::2]) | _twos(digits, _spans(ones, 0)))
+        a = 2 * b - m - shift
+    return (scale * a, scale * b)
+
+
+def _negative_witness(n):
+    digits = _digits(-n)
+    ones = _ones_places(digits)
+    if len(ones) % 2 == 0:
+        # All core 2s survive; each pair interval [i_{2q-1}, i_{2q})
+        # fills with 2s.
+        twos = _twos(digits, range(1, len(digits) + 1)) | _spans(ones, 0)
+    else:
+        # The 1-places above i_1 pair as (i_2, i_3), (i_4, i_5), ...;
+        # inside each pair interval every nonzero digit place is taken,
+        # and borrow chains sweep the zero gaps.  Any 2 below i_1 is
+        # taken as well, the lowest becoming the surviving 1 of the far
+        # endpoint; with no such 2 the place i_1 itself survives.
+        twos = {p for p in _spans(ones, 1) if digits[p - 1]} | _twos(digits, range(1, ones[0]))
+    b = -_from_places(twos)
+    return (2 * b - n, b)
+
+
+def oracle_witness(n):
+    if oracle_contains(n):
+        return None
+    a, b = _positive_witness(n) if n > 0 else _negative_witness(n)
+    return (a, b, n - b)
+
+
+def assert_matches_oracle(ns):
+    for n in ns:
+        assert greedy_set_contains(n) == oracle_contains(n), n
+        assert ternary(n) == oracle_ternary(n), n
+        assert witness_progression(n) == oracle_witness(n), n
+
+
 class TestWord:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -240,7 +372,13 @@ class TestTernary:
         assert ternary(-5) == "-12"
         assert ternary(95) == "10112"
 
-    @given(st.integers(min_value=-50_000, max_value=50_000))
+    # The examples put a zero chunk below the top digit and end a chunk
+    # at the top digit.
+    @given(st.integers(min_value=-(3**80), max_value=3**80))
+    @example(3**6)
+    @example(3**6 - 1)
+    @example(3**12)
+    @example(-(3**12) + 1)
     def test_roundtrip(self, n):
         s = ternary(n)
         sign = -1 if s.startswith("-") else 1
@@ -308,6 +446,39 @@ class TestWitnesses:
         for n in range(3**5, 3**7 + 1):
             witness_progression(n)
             witness_progression(-n)
+
+    def test_matches_oracle_to_3_pow_8(self):
+        assert_matches_oracle(range(-(3**8), 3**8 + 1))
+
+    def test_matches_oracle_at_chunk_boundaries(self):
+        # The kernel renders six digits per divmod, so 3**(6k) * j +- 1
+        # carries into or borrows across whole chunks.
+        assert_matches_oracle(
+            sign * (3 ** (6 * k) * j + e)
+            for k in range(13) for j in (1, 2) for e in (-1, 1) for sign in (1, -1)
+        )
+
+    def test_matches_oracle_on_seeded_draws(self):
+        rng = random.Random(25)
+        assert_matches_oracle(rng.randint(-(3**60), 3**60) for _ in range(20_000))
+
+    @pytest.mark.parametrize("n", [3**4400 + 5, -(3**4400) - 5, 2 * 3**4500, -2 * 3**4500],
+                             ids=["3^4400+5", "-3^4400-5", "2*3^4500", "-2*3^4500"])
+    def test_matches_oracle_past_int_digit_limit(self, n):
+        # More base-3 digits than int(s, 3) reads in one call under the
+        # default sys.int_max_str_digits of 4300.
+        assert_matches_oracle([n])
+
+    @pytest.mark.parametrize("wrong", [
+        (False, "0122", "1002"),  # members 75 and 55, swapped: no progression
+        (False, "2201", "2012"),  # 35, 65, 95 with nonmembers 35 and 65
+    ])
+    def test_self_check_rejects_a_wrong_witness(self, monkeypatch, wrong):
+        # The digits of 95's witness (55, 75, 20) replaced by wrong ones,
+        # least significant first.
+        monkeypatch.setattr(freegroup, "_witness_digits", lambda digits, negative: wrong)
+        with pytest.raises(AssertionError, match="is not a blocking progression"):
+            witness_progression(95)
 
     def test_pinned_witness_digest(self):
         # Recorded before the digit cases shared _spans and _twos: every
