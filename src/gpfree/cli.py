@@ -34,7 +34,8 @@ argparse's alone.
 
 Exit status: 0 on success, 1 when a verification subcommand finds a
 failure, 2 for malformed invocations (argparse's convention), rejected
-arguments and unwritable output paths, with a one-line message on stderr.
+arguments, unwritable output paths and exhausted memory, with a one-line
+message on stderr.
 """
 
 from __future__ import annotations
@@ -595,6 +596,8 @@ def run(argv: list[str] | None = None) -> int:
         _write(result, args)
     except (ValueError, OSError) as exc:
         parser.exit(2, f"gpfree: error: {exc}\n")
+    except MemoryError:
+        parser.exit(2, "gpfree: error: out of memory\n")
     return status
 
 

@@ -106,14 +106,16 @@ def _large_prime(n: int) -> bool:
 
 
 def _split_large(n: int) -> list[tuple[int, int]] | None:
-    """The factorization of an odd n from 2**32 on, as factorize gives it, or None.
+    """The factorization of an odd n from 2**32 on, as factorize gives it, or None below.
 
-    None below 2**32, and for an n past _MILLER_RABIN_BOUND that passes
-    Miller-Rabin, which proves it neither prime nor composite; trial
-    division goes on for those.  Otherwise a perfect square is split at
-    its square root, a prime below the bound is returned whole, and any
-    other n, which Miller-Rabin has proved composite, is split at the
-    divisor ``_rho_divisor`` finds.  Each part goes back to ``factorize``.
+    A perfect square is split at its square root, a prime below
+    _MILLER_RABIN_BOUND is returned whole, and any other n that
+    Miller-Rabin proves composite is split at the divisor
+    ``_rho_divisor`` finds.  Each part goes back to ``factorize``.
+
+    Raises:
+        ValueError: for an n past _MILLER_RABIN_BOUND that passes
+            Miller-Rabin, which proves it neither prime nor composite.
     """
     if n < _ODD_PRIMES_CAP**2:
         return None
@@ -122,7 +124,10 @@ def _split_large(n: int) -> list[tuple[int, int]] | None:
         if _large_prime(n):
             return [(n, 1)]
         if n >= _MILLER_RABIN_BOUND and _probable_prime(n):
-            return None
+            raise ValueError(
+                f"cannot factor {n}: it is past {_MILLER_RABIN_BOUND} and passes"
+                f" Miller-Rabin to all {len(_MILLER_RABIN_BASES)} bases, which proves"
+                " it neither prime nor composite")
         d = _rho_divisor(n)
     exponents: dict[int, int] = {}
     for part in (d, n // d):
@@ -178,14 +183,16 @@ def factorize(n: int):
     last prime of the table the generator holds, trial division goes on
     over the odd numbers after that prime; but first, and again after
     each factor found there, a cofactor from 2**32 on is handed to
-    ``_split_large``.  That ends the search for a prime below
-    _MILLER_RABIN_BOUND and for any cofactor Miller-Rabin proves
-    composite, which Pollard's rho splits.  So only a cofactor past the
-    bound that passes Miller-Rabin is still trial-divided, up to its
-    square root or its next factor.
+    ``_split_large``.  That yields a prime below _MILLER_RABIN_BOUND
+    whole and splits any cofactor Miller-Rabin proves composite by
+    Pollard's rho.  A cofactor past the bound that passes Miller-Rabin
+    is neither proved prime nor split, so it is refused rather than
+    trial-divided up to its square root.  So trial division past the
+    table runs only below 2**32, on a table shorter than its limit.
 
     Raises:
-        ValueError: if n < 1.
+        ValueError: if n < 1, or if a cofactor past _MILLER_RABIN_BOUND
+            passes Miller-Rabin to every base; the message names it.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")

@@ -79,15 +79,22 @@ def build_greedy(max_norm: int, rng: random.Random | None = None) -> GreedyRepor
     with no ``_mul`` and no tuple built.  Left multiplication is linear
     too: with U_j = key(u * 2e_j), key(2(u * x)) = sum(x_j * U_j), which
     gives the 24 keys of an orbit from the coordinates of one element.
-    Witnesses are keyed by key(2c) and hold the keys of a and b, which
-    become the kept elements themselves when c is classified.
+    Witnesses are keyed by key(2c) and hold the kept elements a and b
+    themselves, looked up by key as the progression is generated, so
+    each (a, b, r) is built once and becomes c's reported witness.
 
-    Only what a later shell asks for is stored: kept elements by key up
-    to norm max_norm / 2, since b has norm N / t, and one entry per
-    kept orbit of first terms, with its coordinates and orbit keys, up
-    to norm max_norm / 4, since a has norm N / t**2.  A shell no
-    progression reaches, such as every squarefree one, is kept whole
-    with no lookup per candidate.
+    Only the shells a later shell reads are stored.  A progression with
+    last term of norm N = s * t * t <= max_norm reads its first term a,
+    of norm s, and its middle term b = a * r, of norm s * t.  So shell n
+    is read as a first-term shell exactly when n <= max_norm / 4 (take
+    t = 2), and as a middle-term shell exactly when some t >= 2 divides
+    n with n * t <= max_norm, that is when n * p <= max_norm for the
+    least prime p dividing n.  Each first-term shell is stored as one
+    entry per kept orbit, with its coordinates and orbit keys, and its
+    kept elements by key for the witnesses; the kept elements of a
+    middle-term shell are stored by key.  Every other shell is only
+    appended to the output.  A shell no progression reaches, such as
+    every squarefree one, is kept whole with no lookup per candidate.
 
     The build runs with the cyclic garbage collector paused, after the
     argument check (see ``quaternion._collector_paused``).
@@ -113,7 +120,7 @@ def build_greedy(max_norm: int, rng: random.Random | None = None) -> GreedyRepor
         # key(2u * c) the sum of them times the unit's columns U_0..U_3.
         k0, k1, k2, k3 = (_key(e, base) for e in _BASIS)
         unit_columns = [tuple(_key(_mul(u.coords, e), base) for e in _BASIS) for u in units()]
-        half, quarter = max_norm // 2, max_norm // 4
+        quarter = max_norm // 4
         included, excluded = [], []
         kept: dict[int, HurwitzInt] = {}
         orbits_by_norm: dict[int, list[tuple[int, int, int, int, tuple[int, ...]]]] = {}
@@ -142,24 +149,22 @@ def build_greedy(max_norm: int, rng: random.Random | None = None) -> GreedyRepor
                         c0, c1, c2, c3 = _mul(b, rc)
                         for (u0, u1, u2, u3), ka in zip(unit_columns, orbit):
                             witnesses[c0 * u0 + c1 * u1 + c2 * u2 + c3 * u3] = (
-                                ka, b0 * u0 + b1 * u1 + b2 * u2 + b3 * u3, r)
+                                kept[ka], kept[b0 * u0 + b1 * u1 + b2 * u2 + b3 * u3], r)
+            start = len(included)
             if not witnesses:
                 included.extend(candidates)
-                shell = candidates
             else:
-                shell = []
                 for c in candidates:
                     witness = witnesses.get(c.da * k0 + c.db * k1 + c.dc * k2 + c.dd * k3)
                     if witness is None:
                         included.append(c)
-                        shell.append(c)
                     else:
-                        ka, kb, r = witness
-                        excluded.append((c, (kept[ka], kept[kb], r)))
-            if n <= half:
-                kept.update({c.da * k0 + c.db * k1 + c.dc * k2 + c.dd * k3: c for c in shell})
+                        excluded.append((c, witness))
             if n <= quarter:
-                orbits_by_norm[n] = _orbits(shell, (k0, k1, k2, k3), unit_columns)
+                orbits_by_norm[n] = _orbits(included[start:], kept, (k0, k1, k2, k3), unit_columns)
+            elif any(n % t == 0 for t in range(2, max_norm // n + 1)):
+                kept.update({c.da * k0 + c.db * k1 + c.dc * k2 + c.dd * k3: c
+                             for c in included[start:]})
         return GreedyReport(max_norm, tuple(included), tuple(excluded))
 
 
@@ -211,13 +216,15 @@ def _columns(r: HurwitzInt, base: int) -> tuple:
     return (r, rc, *(_key(_mul(e, f), base) for f in (rc, rr) for e in _BASIS))
 
 
-def _orbits(shell: list[HurwitzInt], columns: tuple[int, int, int, int],
+def _orbits(shell: list[HurwitzInt], kept: dict[int, HurwitzInt],
+            columns: tuple[int, int, int, int],
             unit_columns: list[tuple[int, int, int, int]]) -> list[tuple]:
     """One (a_0, a_1, a_2, a_3, orbit keys) entry per left-unit orbit of a kept shell.
 
-    The orbit keys are key(2u * a) for the units u in order.  The shell
-    is a union of whole orbits (see build_greedy) exactly when it holds
-    24 elements per entry.
+    Each element of the shell is also stored in kept under its key.  The
+    orbit keys are key(2u * a) for the units u in order.  The shell is a
+    union of whole orbits (see build_greedy) exactly when it holds 24
+    elements per entry.
 
     Raises:
         AssertionError: if the shell is not a union of whole orbits.
@@ -227,7 +234,9 @@ def _orbits(shell: list[HurwitzInt], columns: tuple[int, int, int, int],
     entries = []
     for a in shell:
         a0, a1, a2, a3 = a.da, a.db, a.dc, a.dd
-        if a0 * k0 + a1 * k1 + a2 * k2 + a3 * k3 in seen:
+        key = a0 * k0 + a1 * k1 + a2 * k2 + a3 * k3
+        kept[key] = a
+        if key in seen:
             continue
         orbit = tuple(a0 * u0 + a1 * u1 + a2 * u2 + a3 * u3 for u0, u1, u2, u3 in unit_columns)
         seen.update(orbit)

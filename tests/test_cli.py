@@ -89,6 +89,25 @@ class TestCount:
             run(["count", "--norm", "3", "--upto", "5"])
         assert exc.value.code == 2
 
+    def test_unproved_cofactor_exits_2(self, capsys):
+        # 2**89 - 1 passes Miller-Rabin past the bound that makes it a proof.
+        with pytest.raises(SystemExit) as exc:
+            run(["count", "--norm", "618970019642690137449562111"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("gpfree: error: cannot factor 618970019642690137449562111:")
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+    def test_memory_error_exits_2(self, monkeypatch, capsys):
+        def exhaust(norm):
+            raise MemoryError
+        monkeypatch.setattr("gpfree.cli.count_norm_exact", exhaust)
+        with pytest.raises(SystemExit) as exc:
+            run(["count", "--norm", "7"])
+        assert exc.value.code == 2
+        assert capsys.readouterr() == ("", "gpfree: error: out of memory\n")
+
 
 class TestEnumerate:
     def test_json(self, capsys):
@@ -671,10 +690,10 @@ class TestDirectParse:
     # to argparse; what it parses must be exactly what parse_args gives.
     def test_seeded_corpus(self):
         parser, grammar = _build_parser()
-        compare = load_module(ROOT / "scripts" / "compare_cli_parse.py")
+        runner = load_module(ROOT / "scripts" / "check_interpreters.py")
         commands = set()
         accepted = 0
-        for argv in compare.corpus(23, 3000):
+        for argv in runner.argv_corpus(23, 3000):
             args = _direct_parse(argv, grammar)
             if args is not None:
                 assert vars(args) == vars(parser.parse_args(argv)), argv

@@ -231,8 +231,19 @@ class TestLargePrimeCofactor:
 
     @pytest.mark.parametrize("n", [2**31 - 1, 4294967291, 2**89 - 1])
     def test_primes_outside_range_are_left_to_trial_division(self, n):
-        # below 2**32 (the table decides those) or past the bound
+        # below 2**32 (the table decides those) or past the bound (refused)
         assert not counting._large_prime(n)
+
+    @pytest.mark.parametrize("n, cofactor", [
+        (2**89 - 1, 2**89 - 1), (2**107 - 1, 2**107 - 1), (3 * 5**7 * (2**89 - 1), 2**89 - 1),
+    ])
+    def test_unproved_cofactor_past_the_bound_is_refused(self, n, cofactor):
+        # Mersenne primes past the bound pass every base, which proves
+        # nothing there; the refusal names the cofactor.
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"cannot factor {cofactor}:"):
+            list(factorize(n))
+        assert time.perf_counter() - start < 1
 
     def test_matches_a_segment_sieve_above_2_32(self):
         # every odd n in [2**32, 2**32 + 20000) against a sieve of that

@@ -462,6 +462,28 @@ class TestWitnesses:
         rng = random.Random(25)
         assert_matches_oracle(rng.randint(-(3**60), 3**60) for _ in range(20_000))
 
+    def test_contains_matches_oracle_past_the_low_chunk(self):
+        # greedy_set_contains tests the low six digits before rendering the
+        # rest.  Plain draws mostly fail there, so most of these are built
+        # to pass it: up to 30 digits 0 and 2, with a positive member's
+        # lowest 1 on top of zeros, then one digit redrawn; and the
+        # integers next to each power of 3 up to 3**30.
+        rng = random.Random(26)
+        ns = [rng.randint(-(3**30), 3**30) for _ in range(20_000)]
+        for _ in range(20_000):
+            digits = [rng.choice((0, 2)) for _ in range(rng.randint(1, 30))]
+            if rng.random() < 0.5:
+                one = rng.randrange(len(digits))
+                digits[:one + 1] = [0] * one + [1]
+            if rng.random() < 0.5:
+                digits[rng.randrange(len(digits))] = rng.randrange(3)
+            ns.append(rng.choice((1, -1)) * sum(d * 3**k for k, d in enumerate(digits)))
+        ns += [sign * (3**k * j + e) for k in range(31) for j in (1, 2) for e in (-1, 0, 1)
+               for sign in (1, -1)]
+        assert sum(map(oracle_contains, ns)) > 5_000
+        for n in ns:
+            assert greedy_set_contains(n) == oracle_contains(n), n
+
     @pytest.mark.parametrize("n", [3**4400 + 5, -(3**4400) - 5, 2 * 3**4500, -2 * 3**4500],
                              ids=["3^4400+5", "-3^4400-5", "2*3^4500", "-2*3^4500"])
     def test_matches_oracle_past_int_digit_limit(self, n):

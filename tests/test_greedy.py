@@ -122,6 +122,18 @@ def forward_greedy_100(seed):
     return forward_greedy(100, None if seed is None else random.Random(seed))
 
 
+def _least_prime(n):
+    return next(p for p in range(2, n + 1) if n % p == 0)
+
+
+# The max_norm values up to 100 at which a shell n <= 50 enters or leaves
+# the set build_greedy stores: n * p - 1 and n * p for n's least prime p
+# (a middle-term shell), 4n - 1 and 4n (a first-term shell).
+STORAGE_EDGES = sorted({m for n in range(2, 51)
+                        for m in (n * _least_prime(n) - 1, n * _least_prime(n), 4 * n - 1, 4 * n)
+                        if m <= 100})
+
+
 def norm_prefix(report, max_norm):
     """The part of a report up to max_norm, as a run to max_norm reports it."""
     # Both parts list their entries in norm order.
@@ -201,13 +213,13 @@ class TestBuildGreedy:
         assert report.excluded == excluded
 
     @pytest.mark.parametrize("seed", [None, 0, 1])
-    @pytest.mark.parametrize("max_norm", [*range(1, 41), 64, 100])
+    @pytest.mark.parametrize("max_norm", sorted({*range(1, 41), *STORAGE_EDGES}))
     def test_matches_forward_scan(self, max_norm, seed):
         rng = None if seed is None else random.Random(seed)
         assert build_greedy(max_norm, rng=rng) == norm_prefix(forward_greedy_100(seed), max_norm)
 
     def test_prefix_of_larger_run(self):
-        # The key base and the half- and quarter-norm storage cutoffs all
+        # The key base and the storage cutoffs (see STORAGE_EDGES) all
         # move with max_norm; the decisions and witnesses must not.
         full = build_greedy(60)
         for max_norm in range(1, 61):
