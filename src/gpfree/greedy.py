@@ -51,7 +51,10 @@ def build_greedy(max_norm: int, rng: random.Random | None = None) -> GreedyRepor
     a backward search dividing c by each r * r stops at, and the order
     in which the first terms are visited does not matter.  The kept set
     is closed under negation, so -b = a * (-r) is kept exactly when b
-    is, and of r and -r only the one enumerated first is scanned.
+    is, and of r and -r only the one enumerated first is scanned.  The
+    ratios of norm t are taken from shell t itself, in enumeration order
+    before its shuffle, whenever t * t <= max_norm, so the build
+    enumerates each norm class once.
 
     The scan visits one first term per left-unit orbit.  The kept set is
     closed under left multiplication by each unit u, by induction on the
@@ -80,8 +83,9 @@ def build_greedy(max_norm: int, rng: random.Random | None = None) -> GreedyRepor
     too: with U_j = key(u * 2e_j), key(2(u * x)) = sum(x_j * U_j), which
     gives the 24 keys of an orbit from the coordinates of one element.
     Witnesses are keyed by key(2c) and hold the kept elements a and b
-    themselves, looked up by key as the progression is generated, so
-    each (a, b, r) is built once and becomes c's reported witness.
+    themselves, u * a from the orbit entry and u * b looked up by key as
+    the progression is generated, so each (a, b, r) is built once and
+    becomes c's reported witness.
 
     Only the shells a later shell reads are stored.  A progression with
     last term of norm N = s * t * t <= max_norm reads its first term a,
@@ -90,11 +94,12 @@ def build_greedy(max_norm: int, rng: random.Random | None = None) -> GreedyRepor
     t = 2), and as a middle-term shell exactly when some t >= 2 divides
     n with n * t <= max_norm, that is when n * p <= max_norm for the
     least prime p dividing n.  Each first-term shell is stored as one
-    entry per kept orbit, with its coordinates and orbit keys, and its
-    kept elements by key for the witnesses; the kept elements of a
-    middle-term shell are stored by key.  Every other shell is only
-    appended to the output.  A shell no progression reaches, such as
-    every squarefree one, is kept whole with no lookup per candidate.
+    entry per kept orbit, with its coordinates and its 24 kept elements
+    in unit order; the kept elements of a middle-term shell are stored
+    by key, each keyed once, as the shell is classified.  Every other
+    shell is only appended to the output.  A shell no progression
+    reaches, such as every squarefree one, is kept whole with no lookup
+    per candidate.
 
     The build runs with the cyclic garbage collector paused, after the
     argument check (see ``quaternion._collector_paused``).
@@ -122,20 +127,21 @@ def build_greedy(max_norm: int, rng: random.Random | None = None) -> GreedyRepor
         unit_columns = [tuple(_key(_mul(u.coords, e), base) for e in _BASIS) for u in units()]
         quarter = max_norm // 4
         included, excluded = [], []
+        include, exclude = included.append, excluded.append
         kept: dict[int, HurwitzInt] = {}
-        orbits_by_norm: dict[int, list[tuple[int, int, int, int, tuple[int, ...]]]] = {}
+        orbits_by_norm: dict[int, list[tuple[int, int, int, int, tuple[HurwitzInt, ...]]]] = {}
         ratio_columns: dict[int, list[tuple]] = {}
         for n in range(1, max_norm + 1):
             candidates = enumerate_norm(n)
+            if n * n <= max_norm:
+                ratio_columns[n] = [_columns(r, base) for r in candidates
+                                    if r.coords < (-r.da, -r.db, -r.dc, -r.dd)]
             if rng is not None:
                 _shuffle(rng, candidates)
             witnesses = {}
             for t in range(2, math.isqrt(n) + 1):
                 if n % (t * t):
                     continue
-                if t not in ratio_columns:
-                    ratio_columns[t] = [_columns(r, base)
-                                        for r in enumerate_norm(t) if r.coords < (-r).coords]
                 orbits = orbits_by_norm[n // (t * t)]
                 for r, rc, p0, p1, p2, p3, q0, q1, q2, q3 in ratio_columns[t]:
                     for a0, a1, a2, a3, orbit in orbits:
@@ -147,24 +153,33 @@ def build_greedy(max_norm: int, rng: random.Random | None = None) -> GreedyRepor
                             continue
                         b = b0, b1, b2, b3 = _mul((a0, a1, a2, a3), rc)
                         c0, c1, c2, c3 = _mul(b, rc)
-                        for (u0, u1, u2, u3), ka in zip(unit_columns, orbit):
+                        for (u0, u1, u2, u3), a in zip(unit_columns, orbit):
                             witnesses[c0 * u0 + c1 * u1 + c2 * u2 + c3 * u3] = (
-                                kept[ka], kept[b0 * u0 + b1 * u1 + b2 * u2 + b3 * u3], r)
-            start = len(included)
+                                a, kept[b0 * u0 + b1 * u1 + b2 * u2 + b3 * u3], r)
+            # A stored shell's kept elements by key: a first-term shell collects
+            # them in its own dict, any other middle-term shell in kept.
+            middle = any(n % t == 0 for t in range(2, max_norm // n + 1))
+            shell = {} if n <= quarter else kept if middle else None
             if not witnesses:
                 included.extend(candidates)
+                if shell is not None:
+                    shell.update({c.da * k0 + c.db * k1 + c.dc * k2 + c.dd * k3: c
+                                  for c in candidates})
             else:
+                get = witnesses.get
                 for c in candidates:
-                    witness = witnesses.get(c.da * k0 + c.db * k1 + c.dc * k2 + c.dd * k3)
+                    key = c.da * k0 + c.db * k1 + c.dc * k2 + c.dd * k3
+                    witness = get(key)
                     if witness is None:
-                        included.append(c)
+                        include(c)
+                        if shell is not None:
+                            shell[key] = c
                     else:
-                        excluded.append((c, witness))
+                        exclude((c, witness))
             if n <= quarter:
-                orbits_by_norm[n] = _orbits(included[start:], kept, (k0, k1, k2, k3), unit_columns)
-            elif any(n % t == 0 for t in range(2, max_norm // n + 1)):
-                kept.update({c.da * k0 + c.db * k1 + c.dc * k2 + c.dd * k3: c
-                             for c in included[start:]})
+                if middle:
+                    kept.update(shell)
+                orbits_by_norm[n] = _orbits(shell, unit_columns)
         return GreedyReport(max_norm, tuple(included), tuple(excluded))
 
 
@@ -208,39 +223,42 @@ def _key(x: tuple[int, int, int, int], base: int) -> int:
 def _columns(r: HurwitzInt, base: int) -> tuple:
     """r, its coordinates and its column keys P_0..P_3, Q_0..Q_3 (see build_greedy).
 
-    Each 2e_j is a valid doubled-coordinate tuple, so ``_mul`` gives the
-    columns 2e_j * r and 2e_j * r * r exactly.
+    For x = r and x = r * r, the columns 2e_j * x are the products of
+    the units 1, i, j and k with x, whose coordinates are x's own signed
+    and permuted: x, (-x1, x0, -x3, x2), (-x2, x3, x0, -x1) and
+    (-x3, -x2, x1, x0).  So only r * r takes a ``_mul``.
     """
     rc = r.coords
-    rr = _mul(rc, rc)
-    return (r, rc, *(_key(_mul(e, f), base) for f in (rc, rr) for e in _BASIS))
+    b2 = base * base
+    b3 = b2 * base
+    columns = [r, rc]
+    for x0, x1, x2, x3 in (rc, _mul(rc, rc)):
+        columns += (x0 + x1 * base + x2 * b2 + x3 * b3, x0 * base - x1 + x2 * b3 - x3 * b2,
+                    x0 * b2 - x1 * b3 - x2 + x3 * base, x0 * b3 + x1 * b2 - x2 * base - x3)
+    return tuple(columns)
 
 
-def _orbits(shell: list[HurwitzInt], kept: dict[int, HurwitzInt],
-            columns: tuple[int, int, int, int],
+def _orbits(shell: dict[int, HurwitzInt],
             unit_columns: list[tuple[int, int, int, int]]) -> list[tuple]:
-    """One (a_0, a_1, a_2, a_3, orbit keys) entry per left-unit orbit of a kept shell.
+    """One (a_0, a_1, a_2, a_3, orbit) entry per left-unit orbit of a kept shell.
 
-    Each element of the shell is also stored in kept under its key.  The
-    orbit keys are key(2u * a) for the units u in order.  The shell is a
-    union of whole orbits (see build_greedy) exactly when it holds 24
-    elements per entry.
+    The shell maps key(2a) to each kept element a, in processing order.
+    The orbit holds the 24 elements u * a for the units u in order, None
+    for any missing from the shell.  The shell is a union of whole orbits
+    (see build_greedy) exactly when it holds 24 elements per entry.
 
     Raises:
         AssertionError: if the shell is not a union of whole orbits.
     """
-    k0, k1, k2, k3 = columns
     seen: set[int] = set()
     entries = []
-    for a in shell:
-        a0, a1, a2, a3 = a.da, a.db, a.dc, a.dd
-        key = a0 * k0 + a1 * k1 + a2 * k2 + a3 * k3
-        kept[key] = a
+    for key, a in shell.items():
         if key in seen:
             continue
-        orbit = tuple(a0 * u0 + a1 * u1 + a2 * u2 + a3 * u3 for u0, u1, u2, u3 in unit_columns)
+        a0, a1, a2, a3 = a.da, a.db, a.dc, a.dd
+        orbit = [a0 * u0 + a1 * u1 + a2 * u2 + a3 * u3 for u0, u1, u2, u3 in unit_columns]
         seen.update(orbit)
-        entries.append((a0, a1, a2, a3, orbit))
+        entries.append((a0, a1, a2, a3, tuple(map(shell.get, orbit))))
     if 24 * len(entries) != len(shell):
         raise AssertionError(f"kept shell of {len(shell)} elements is not a union of unit orbits")
     return entries

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from collections.abc import Iterator
 from pathlib import Path
 
@@ -97,6 +98,18 @@ class TestCount:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("gpfree: error: cannot factor 618970019642690137449562111:")
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+    def test_cofactor_past_the_rho_budget_exits_2(self, capsys):
+        n = (2**89 - 1) * (2**61 - 1)
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            run(["count", "--norm", str(n)])
+        assert time.perf_counter() - start < 2
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"gpfree: error: cannot factor {n}: Pollard's rho")
         assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
 
     def test_memory_error_exits_2(self, monkeypatch, capsys):

@@ -245,6 +245,15 @@ class TestLargePrimeCofactor:
             list(factorize(n))
         assert time.perf_counter() - start < 1
 
+    def test_composite_past_the_rho_budget_is_refused(self):
+        # Rho would need about 2**30 steps to reach 2**61 - 1; the budget
+        # of 2**20 ends the search, and the refusal names the cofactor.
+        n = (2**89 - 1) * (2**61 - 1)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"cannot factor {n}: Pollard's rho"):
+            list(factorize(n))
+        assert time.perf_counter() - start < 2
+
     def test_matches_a_segment_sieve_above_2_32(self):
         # every odd n in [2**32, 2**32 + 20000) against a sieve of that
         # segment by the primes up to 2**16, which covers its square roots

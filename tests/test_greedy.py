@@ -128,10 +128,11 @@ def _least_prime(n):
 
 # The max_norm values up to 100 at which a shell n <= 50 enters or leaves
 # the set build_greedy stores: n * p - 1 and n * p for n's least prime p
-# (a middle-term shell), 4n - 1 and 4n (a first-term shell).
+# (a middle-term shell), 4n - 1 and 4n (a first-term shell).  Also t * t - 1
+# and t * t, where shell t starts to give the build its ratios of norm t.
 STORAGE_EDGES = sorted({m for n in range(2, 51)
                         for m in (n * _least_prime(n) - 1, n * _least_prime(n), 4 * n - 1, 4 * n)
-                        if m <= 100})
+                        if m <= 100} | {t * t + d for t in range(2, 11) for d in (-1, 0)})
 
 
 def norm_prefix(report, max_norm):
@@ -225,6 +226,19 @@ class TestBuildGreedy:
         for max_norm in range(1, 61):
             assert build_greedy(max_norm) == norm_prefix(full, max_norm)
 
+    def test_enumerates_each_norm_once(self, monkeypatch):
+        # Ratio classes come from the shells the build enumerates anyway,
+        # and perfbench finds each shell by its enumerate_norm(n) call.
+        calls = []
+
+        def spy(n):
+            calls.append(n)
+            return enumerate_norm(n)
+
+        monkeypatch.setattr(greedy, "enumerate_norm", spy)
+        build_greedy(100, rng=random.Random(1))
+        assert calls == list(range(1, 101))
+
     def test_nothing_excluded_below_four(self):
         report = build_greedy(3)
         assert report.excluded == ()
@@ -237,6 +251,37 @@ class TestBuildGreedy:
         # unit * (norm-2 element)^2 products are exactly what gets blocked
         for q, (a, b, r) in report.excluded:
             assert a.norm() == 1 and r.norm() == 2
+
+
+def key_bases(max_norms):
+    """The key bases build_greedy uses for each max_norm given."""
+    return sorted({1 << (((64 * m).bit_length() + 1) // 2) for m in max_norms})
+
+
+class TestKeys:
+    """The column keys and orbit entries build_greedy scans with."""
+
+    @pytest.mark.parametrize("base", key_bases(range(1, 401)))
+    def test_columns_match_mul(self, base):
+        # The oracle: the key of _mul(2e_j, x) for x = r and x = r * r.
+        for t in range(1, 31):
+            for r in enumerate_norm(t):
+                rc = r.coords
+                oracle = [greedy._key(_mul(e, x), base)
+                          for x in (rc, _mul(rc, rc)) for e in greedy._BASIS]
+                assert greedy._columns(r, base) == (r, rc, *oracle), (base, rc)
+
+    def test_orbit_entries_hold_elements(self):
+        base = key_bases([1])[0]
+        unit_columns = [tuple(greedy._key(_mul(u.coords, e), base) for e in greedy._BASIS)
+                        for u in units()]
+        shell = {greedy._key(tuple(2 * x for x in u.coords), base): u for u in units()}
+        [(a0, a1, a2, a3, orbit)] = greedy._orbits(shell, unit_columns)
+        a = HurwitzInt(a0, a1, a2, a3)
+        assert orbit == tuple(u * a for u in units())
+        del shell[greedy._key(tuple(2 * x for x in a.coords), base)]
+        with pytest.raises(AssertionError, match="not a union of unit orbits"):
+            greedy._orbits(shell, unit_columns)
 
 
 # Every length to 300, and each power of two to 2**13 with its neighbours,
