@@ -30,8 +30,8 @@ this tree's src/ on PYTHONPATH, and relays the lines it prints.  Under
   seeded lists of every length up to SHUFFLE_MAX_LEN.  It fails if a
   permutation or the generator's final state differs, and hashes
   build_greedy(GREEDY_MAX_NORM) with rng=random.Random(s) for each seed
-  s of GREEDY_SEEDS: every kept element and every excluded one with its
-  witness.
+  s of GREEDY_SEEDS: every kept element, every excluded one with its
+  witness, and the shell ends.
 
 Each line gives the interpreter's version, the check, "ok" or "FAIL",
 and what was counted and hashed; trees that behave alike print the same
@@ -316,7 +316,8 @@ def check_greedy() -> Iterator[tuple[bool, str]]:
     for seed in GREEDY_SEEDS:
         report = build_greedy(GREEDY_MAX_NORM, rng=random.Random(seed))
         excluded = [(c.coords, a.coords, b.coords, r.coords) for c, (a, b, r) in report.excluded]
-        digest.update(f"{seed} {[q.coords for q in report.included]} {excluded}\n".encode())
+        digest.update(f"{seed} {[q.coords for q in report.included]} {excluded}"
+                      f" {report.shell_ends}\n".encode())
     yield (not differ,
            f"{SHUFFLE_MAX_LEN + 1} lengths, {differ} differ from Random.shuffle;"
            f" build_greedy({GREEDY_MAX_NORM}) over seeds {GREEDY_SEEDS} {digest.hexdigest()}")

@@ -9,7 +9,6 @@ works" means.
 
 from __future__ import annotations
 
-import bisect
 import math
 import random
 import time
@@ -182,16 +181,16 @@ def _witnesses_revalidated(report: GreedyReport) -> bool:
     Each entry (c, (a, b, r)) must have r.norm() >= 2, c == b * r and
     b == a * r, tested first and on coordinate tuples, and then a and b
     kept.  Membership is tested against the kept elements of norm at most
-    max_norm // 2 alone, a prefix of ``report.included``, which is in norm
-    order.  That is exact for a report whose excluded elements have norm
-    at most max_norm, as ``build_greedy``'s do: once N(r) >= 2 and
-    c == b * r hold, N(b) = N(c) / N(r) <= max_norm / 2, and b == a * r
-    gives N(a) <= N(b).  For any other report the prefix is a subset of
-    the kept set, so the test is never weaker than one against all of it.
+    max_norm // 2 alone, the prefix of ``report.included`` that
+    ``report.shell_ends`` marks.  That is exact for a report whose
+    excluded elements have norm at most max_norm, as ``build_greedy``'s
+    do: once N(r) >= 2 and c == b * r hold, N(b) = N(c) / N(r) <=
+    max_norm / 2, and b == a * r gives N(a) <= N(b).  For any other
+    report the prefix is a subset of the kept set, so the test is never
+    weaker than one against all of it.
     """
-    included = report.included
-    cut = bisect.bisect_right(included, report.max_norm // 2, key=HurwitzInt.norm)
-    kept = {q.coords for q in included[:cut]}
+    cut = report.shell_ends[report.max_norm // 2][0]
+    kept = {q.coords for q in report.included[:cut]}
     for c, (a, b, r) in report.excluded:
         rc, ac, bc = r.coords, a.coords, b.coords
         if not (r.norm() >= 2 and _mul(bc, rc) == c.coords and _mul(ac, rc) == bc

@@ -45,7 +45,6 @@ import decimal
 import functools
 import os
 import sys
-from bisect import bisect_right
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from decimal import Decimal
@@ -72,7 +71,7 @@ from .freegroup import (
     witness_progression,
 )
 from .greedy import build_greedy
-from .quaternion import HurwitzInt, format_elements, format_norm
+from .quaternion import format_elements, format_norm
 
 __all__ = ["main", "run"]
 
@@ -313,16 +312,6 @@ def _texts(elements, end: str = "") -> list[str]:
     return format_elements(map(_COORDS, elements), end)
 
 
-def _shells(items: tuple, norm_of, max_norm: int) -> list[tuple]:
-    """items, which are in norm order, cut into the shells of norms 1..max_norm.
-
-    Each shell's end is found by bisection, with a norm_of call per step
-    rather than per item.
-    """
-    ends = [bisect_right(items, n, key=norm_of) for n in range(max_norm + 1)]
-    return [items[lo:hi] for lo, hi in pairwise(ends)]
-
-
 def _witness_texts(shell: tuple) -> Iterator[tuple[str, str, str, str]]:
     """(element, a, b, ratio) texts of each excluded element of a shell."""
     elements, witnesses = zip(*shell)
@@ -347,8 +336,9 @@ def _greedy_csv(included: list[tuple], excluded: list[tuple]) -> Iterator[str]:
 
 def _cmd_greedy_hur(args) -> tuple[dict | Iterator[str], int]:
     report = build_greedy(args.max_norm)
-    included = _shells(report.included, HurwitzInt.norm, report.max_norm)
-    excluded = _shells(report.excluded, lambda row: row[0].norm(), report.max_norm)
+    ends = list(pairwise(report.shell_ends))
+    included = [report.included[i:j] for (i, _), (j, _) in ends]
+    excluded = [report.excluded[e:f] for (_, e), (_, f) in ends]
     if args.emit == "csv":
         return _greedy_csv(included, excluded), 0
     # Lazy lists (see _json_chunks): each shell is rendered as it is written.

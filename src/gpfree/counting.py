@@ -111,13 +111,18 @@ def _split_large(n: int) -> list[tuple[int, int]] | None:
     A perfect square is split at its square root, a prime below
     _MILLER_RABIN_BOUND is returned whole, and any other n that
     Miller-Rabin proves composite is split at the divisor
-    ``_rho_divisor`` finds.  Each part goes back to ``factorize``.
+    ``_rho_divisor`` finds.  Each part goes back to ``factorize``.  Any
+    other n past _SPLIT_BITS = 2400 bits is refused untried: there the
+    rho budget reaches no prime that trial division has not removed (see
+    ``_rho_divisor``), and Miller-Rabin alone would take over a second
+    on a prime past about 2800 bits (1.5 s at 3217 bits).
 
     Raises:
         ValueError: for an n past _MILLER_RABIN_BOUND that passes
             Miller-Rabin, which proves it neither prime nor composite,
-            and for a composite n that ``_rho_divisor`` does not split
-            within its step budget.
+            for a composite n that ``_rho_divisor`` does not split
+            within its step budget, and for a non-square n past
+            _SPLIT_BITS.
     """
     if n < _ODD_PRIMES_CAP**2:
         return None
@@ -125,6 +130,10 @@ def _split_large(n: int) -> list[tuple[int, int]] | None:
     if d * d != n:
         if _large_prime(n):
             return [(n, 1)]
+        if n.bit_length() > _SPLIT_BITS:
+            raise ValueError(
+                f"cannot factor {n}: it has {n.bit_length()} bits, past the {_SPLIT_BITS}"
+                " up to which Pollard's rho reaches further than trial division")
         if n >= _MILLER_RABIN_BOUND and _probable_prime(n):
             raise ValueError(
                 f"cannot factor {n}: it is past {_MILLER_RABIN_BOUND} and passes"
@@ -133,8 +142,8 @@ def _split_large(n: int) -> list[tuple[int, int]] | None:
         d = _rho_divisor(n)
         if d is None:
             raise ValueError(
-                f"cannot factor {n}: Pollard's rho found no divisor in {_RHO_STEPS} steps,"
-                " so its least prime factor is most likely past 2**32")
+                f"cannot factor {n}: Pollard's rho found no divisor within its budget of"
+                f" {_rho_budget(n)} steps for a {n.bit_length()}-bit number")
     exponents: dict[int, int] = {}
     for part in (d, n // d):
         for p, e in factorize(part):
@@ -142,8 +151,24 @@ def _split_large(n: int) -> list[tuple[int, int]] | None:
     return sorted(exponents.items())
 
 
-# Pollard's rho gives up after this many steps of its walk; see _rho_divisor.
-_RHO_STEPS = 1 << 20
+# Pollard's rho gives up after _RHO_STEPS steps of its walk on an n of up
+# to _RHO_BITS bits, and after fewer on a larger n; see _rho_budget.  Past
+# _SPLIT_BITS its budget reaches no prime past trial division's 2**16.
+_RHO_STEPS, _RHO_BITS = 1 << 20, 150
+_SPLIT_BITS = 16 * _RHO_BITS
+
+
+def _rho_budget(n: int) -> int:
+    """The steps ``_rho_divisor`` may take on n: 2**20 * (150 / b)**2 for b > 150 bits.
+
+    A step squares and multiplies modulo n, so its cost grows with the
+    bit length b of n, a little faster than b: about 0.6 us at 150 bits,
+    3.7 us at 648 and 17 us at 1886 on a 2-core x86-64 machine under
+    CPython 3.11.  A budget falling as b**-2 past 150 bits keeps every
+    search within the time the 2**20 steps take at 150 bits, about 0.6 s
+    there.
+    """
+    return _RHO_STEPS * _RHO_BITS**2 // max(n.bit_length(), _RHO_BITS) ** 2
 
 
 def _rho_divisor(n: int) -> int | None:
@@ -158,22 +183,33 @@ def _rho_divisor(n: int) -> int | None:
     least prime factor p of n repeats after about sqrt(p) steps.
 
     Returns None rather than start a round that would take the steps of
-    all walks past _RHO_STEPS = 2**20.  The round with power P takes 2P
-    steps, so the first walk runs every round up to P = 2**18, and finds
-    p once its walk modulo p enters a cycle of at most 2**18 steps
-    within 2**19 - 2 steps.  For p below 2**32 a random walk misses that
-    with odds of at most about 2 in 10**5, and a dropped c gets the rest
-    of the budget; in 2,000 seeded products p * q with p from 2**31 to
-    2**32 and q from 2**40 to 2**41, no walk needed a round past
-    P = 2**17 (477,054 steps at most).  So the budget splits every n
-    whose least prime factor is below 2**32, save with those odds.
+    all walks past ``_rho_budget(n)``, which is 2**20 for n up to 150
+    bits.  The round with power P takes 2P steps, so with that budget
+    the first walk runs every round up to P = 2**18, and finds p once
+    its walk modulo p enters a cycle of at most 2**18 steps within
+    2**19 - 2 steps.  For p below 2**32 a random walk misses that with
+    odds of at most about 2 in 10**5, and a dropped c gets the rest of
+    the budget; in 2,000 seeded products p * q with p from 2**31 to 2**32
+    and q from 2**40 to 2**41, no walk needed a round past P = 2**17
+    (477,054 steps at most).  So up to 150 bits the budget splits every
+    n whose least prime factor is below 2**32, save with those odds.
+
+    Past 150 bits the budget falls as the square of n's bit length b,
+    and the walk modulo p needs about sqrt(p) steps, so the reach falls
+    as b**-4.  The first walk's last round is P = 2**14 at 600 bits,
+    2**12 at 1200 and 2**10 at 2400, which split with the same odds an
+    n whose least prime factor is below 2**24, 2**20 and 2**16 in turn
+    (no miss in 400, 400 and 200 seeded p from the top half of each
+    range).  At 2400 bits trial division already reaches that far, so
+    ``_split_large`` calls rho on no larger n.
     """
+    budget = _rho_budget(n)
     steps = 0
     for c in itertools.count(1):
         y, power, product, g = 2, 1, 1, 1
         while g == 1:
             steps += 2 * power
-            if steps > _RHO_STEPS:
+            if steps > budget:
                 return None
             x = y
             for _ in range(power):
@@ -210,18 +246,21 @@ def factorize(n: int):
     each factor found there, a cofactor from 2**32 on is handed to
     ``_split_large``.  That yields a prime below _MILLER_RABIN_BOUND
     whole and splits any cofactor Miller-Rabin proves composite by
-    Pollard's rho, within a budget of 2**20 steps.  A cofactor past the
+    Pollard's rho, within a budget of 2**20 steps up to 150 bits and
+    fewer past that (see ``_rho_budget``).  A cofactor past the
     bound that passes Miller-Rabin is neither proved prime nor split, so
     it is refused rather than trial-divided up to its square root, and
-    so is a composite that rho does not split within its budget.  So
+    so is a composite that rho does not split within its budget, and a
+    non-square cofactor past 2400 bits.  So
     trial division past the table runs only below 2**32, on a table
     shorter than its limit.
 
     Raises:
         ValueError: if n < 1, or if a cofactor past _MILLER_RABIN_BOUND
             passes Miller-Rabin to every base, or if Pollard's rho does
-            not split a composite cofactor within its budget; the
-            message names the cofactor.
+            not split a composite cofactor within its budget, or if a
+            non-square cofactor is past 2400 bits; the message names the
+            cofactor.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")

@@ -151,22 +151,17 @@ def verify_annuli_gp_free(max_norm: int, spec: AnnuliSpec = DEFAULT_ANNULI) -> b
     supports a progression-free set of quaternions, since any quaternion
     progression forces exactly this pattern on norms.
 
-    The scan runs one ratio at a time.  For ratio k the admissible n are
-    1..m with m = max_norm // k**2, and the strided views kept[1:m+1],
-    kept[k:k*m+1:k] and kept[k*k:k*k*m+1:k*k] hold the flags of n, n*k
-    and n*k**2 at the same byte offset n - 1.  Each view is read as one
-    little-endian integer and the three are ANDed, so a nonzero result
-    is a kept triple; the two far views are skipped when the first is
-    all zero.  This is exact only because the mask holds 0/1 bytes: with
-    other nonzero values two flags could share no bit.  Each view spans
-    about 0.65 * max_norm bytes over all k (the sum of max_norm / k**2
-    over k >= 2), handled in C in place of a Python step per pair.
-
-    Every kept norm of DEFAULT_ANNULI is at most 2304 while max_norm is
-    at most 2304**3 / 48 (about 2.55e8): the scale after 2304 is
-    2304**3, whose widest annulus starts just above 2304**3 / 48.  A
-    longer range below that re-tests the first block against more
-    ratios, on a mask that is zero past 2304.
+    The scan runs one ratio at a time.  A kept triple has n*k**2 <= top,
+    the largest kept norm, so for ratio k the admissible n are 1..m with
+    m = top // k**2, and the strided views kept[1:m+1], kept[k:k*m+1:k]
+    and kept[k*k:k*k*m+1:k*k] hold the flags of n, n*k and n*k**2 at the
+    same byte offset n - 1.  Each view is read as one little-endian
+    integer and the three are ANDed, so a nonzero result is a kept
+    triple; the two far views are skipped when the first is all zero.
+    This is exact only because the mask holds 0/1 bytes: with other
+    nonzero values two flags could share no bit.  Each view spans about
+    0.65 * top bytes over all k (the sum of top / k**2 over k >= 2),
+    handled in C in place of a Python step per pair.
 
     Args:
         max_norm: top of the scanned range, at least 48 so the first
@@ -180,8 +175,9 @@ def verify_annuli_gp_free(max_norm: int, spec: AnnuliSpec = DEFAULT_ANNULI) -> b
     if max_norm < 48:
         raise ValueError(f"max_norm must be at least 48, got {max_norm}")
     kept = _kept_mask(max_norm, spec)
-    for k in range(2, math.isqrt(max_norm) + 1):
-        m = max_norm // (k * k)
+    top = kept.rfind(1)
+    for k in range(2, math.isqrt(max(top, 0)) + 1):
+        m = top // (k * k)
         first = int.from_bytes(kept[1 : m + 1], "little")
         if first and (first & int.from_bytes(kept[k : k * m + 1 : k], "little")
                       & int.from_bytes(kept[k * k : k * k * m + 1 : k * k], "little")):

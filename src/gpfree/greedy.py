@@ -25,12 +25,17 @@ class GreedyReport:
 
     included holds the kept elements in processing order.  excluded
     pairs each rejected element with the witness (a, b, r) such that
-    a, a*r == b are kept and b*r is the rejected element.
+    a, a*r == b are kept and b*r is the rejected element.  Both list
+    their entries shell by shell, in norm order, and shell_ends[n] is
+    (len(included), len(excluded)) once the shell of norm n is done, for
+    n = 0..max_norm: the shell of norm n is included[i:j] and
+    excluded[e:f] for (i, e), (j, f) = shell_ends[n - 1], shell_ends[n].
     """
 
     max_norm: int
     included: tuple[HurwitzInt, ...]
     excluded: tuple[tuple[HurwitzInt, tuple[HurwitzInt, HurwitzInt, HurwitzInt]], ...]
+    shell_ends: tuple[tuple[int, int], ...]
 
     def included_coords(self) -> frozenset[tuple[int, int, int, int]]:
         return frozenset(q.coords for q in self.included)
@@ -126,7 +131,7 @@ def build_greedy(max_norm: int, rng: random.Random | None = None) -> GreedyRepor
         k0, k1, k2, k3 = (_key(e, base) for e in _BASIS)
         unit_columns = [tuple(_key(_mul(u.coords, e), base) for e in _BASIS) for u in units()]
         quarter = max_norm // 4
-        included, excluded = [], []
+        included, excluded, shell_ends = [], [], [(0, 0)]
         include, exclude = included.append, excluded.append
         kept: dict[int, HurwitzInt] = {}
         orbits_by_norm: dict[int, list[tuple[int, int, int, int, tuple[HurwitzInt, ...]]]] = {}
@@ -180,7 +185,8 @@ def build_greedy(max_norm: int, rng: random.Random | None = None) -> GreedyRepor
                 if middle:
                     kept.update(shell)
                 orbits_by_norm[n] = _orbits(shell, unit_columns)
-        return GreedyReport(max_norm, tuple(included), tuple(excluded))
+            shell_ends.append((len(included), len(excluded)))
+        return GreedyReport(max_norm, tuple(included), tuple(excluded), tuple(shell_ends))
 
 
 _BASIS = ((2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2))

@@ -112,6 +112,19 @@ class TestCount:
         assert captured.err.startswith(f"gpfree: error: cannot factor {n}: Pollard's rho")
         assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
 
+    def test_large_cofactor_past_the_rho_budget_exits_2(self, capsys):
+        # 648 bits, where the budget is 2**20 * (150 / 648)**2 steps.
+        n = (2**127 - 1) * (2**521 - 1)
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            run(["count", "--norm", str(n)])
+        assert time.perf_counter() - start < 1
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"gpfree: error: cannot factor {n}: Pollard's rho")
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
     def test_memory_error_exits_2(self, monkeypatch, capsys):
         def exhaust(norm):
             raise MemoryError

@@ -254,6 +254,37 @@ class TestLargePrimeCofactor:
             list(factorize(n))
         assert time.perf_counter() - start < 2
 
+    @pytest.mark.parametrize("n", [(2**127 - 1) * (2**521 - 1), (2**607 - 1) * (2**1279 - 1)])
+    def test_large_composite_is_refused_within_a_second(self, n):
+        # A step costs more the larger n is, so the budget falls with n's
+        # bit length: 648 and 1886 bits here.
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"cannot factor {n}: Pollard's rho"):
+            list(factorize(n))
+        assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize("n, cofactor", [
+        (2**3217 - 1, 2**3217 - 1),
+        (3**5 * (2**4423 - 1), 2**4423 - 1),
+        ((2**1279 - 1) * (2**2203 - 1), (2**1279 - 1) * (2**2203 - 1)),
+        ((2**4423 - 1) * (2**9689 - 1), (2**4423 - 1) * (2**9689 - 1)),
+    ])
+    def test_cofactor_past_2400_bits_is_refused_untried(self, n, cofactor):
+        # Miller-Rabin alone would take over a second on each prime here,
+        # for a refusal either way.
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"cannot factor {cofactor}: it has"):
+            list(factorize(n))
+        assert time.perf_counter() - start < 1
+
+    def test_square_past_2400_bits_is_still_split(self):
+        assert list(factorize((2**61 - 1) ** 64)) == [(2**61 - 1, 64)]
+
+    @pytest.mark.parametrize("bits", [2, 149, 150, 151, 300, 600, 1200, 2400])
+    def test_rho_budget_falls_past_150_bits(self, bits):
+        budget = counting._rho_budget((1 << bits) - 1)
+        assert budget == (2**20 if bits <= 150 else 2**20 * 150**2 // bits**2)
+
     def test_matches_a_segment_sieve_above_2_32(self):
         # every odd n in [2**32, 2**32 + 20000) against a sieve of that
         # segment by the primes up to 2**16, which covers its square roots

@@ -78,7 +78,7 @@ def random_specs(seed, count):
     return specs
 
 
-SCAN_SIZES = [48, 49, 2304, 5000, 10**5]
+SCAN_SIZES = [48, 49, 2304, 5000, 10**5, 10**6]
 RANDOM_SPECS = random_specs(20, 12)
 
 

@@ -1,4 +1,3 @@
-import bisect
 import functools
 import math
 import random
@@ -35,6 +34,7 @@ def forward_greedy(max_norm, rng=None):
     included, excluded, kept = [], [], set()
     kept_by_norm = {}
     ratio_classes = {}
+    shell_ends = [(0, 0)]
     for n in range(1, max_norm + 1):
         candidates = enumerate_norm(n)
         if rng is not None:
@@ -63,7 +63,8 @@ def forward_greedy(max_norm, rng=None):
                 a, b, r = witness
                 excluded.append((c, (HurwitzInt(*a), HurwitzInt(*b), r)))
         kept.update(shell)
-    return GreedyReport(max_norm, tuple(included), tuple(excluded))
+        shell_ends.append((len(included), len(excluded)))
+    return GreedyReport(max_norm, tuple(included), tuple(excluded), tuple(shell_ends))
 
 
 def conj(q):
@@ -137,10 +138,9 @@ STORAGE_EDGES = sorted({m for n in range(2, 51)
 
 def norm_prefix(report, max_norm):
     """The part of a report up to max_norm, as a run to max_norm reports it."""
-    # Both parts list their entries in norm order.
-    included = bisect.bisect_right(report.included, max_norm, key=HurwitzInt.norm)
-    excluded = bisect.bisect_right(report.excluded, max_norm, key=lambda e: e[0].norm())
-    return GreedyReport(max_norm, report.included[:included], report.excluded[:excluded])
+    included, excluded = report.shell_ends[max_norm]
+    return GreedyReport(max_norm, report.included[:included], report.excluded[:excluded],
+                        report.shell_ends[:max_norm + 1])
 
 
 def unit_scan_squares(m):
@@ -225,6 +225,21 @@ class TestBuildGreedy:
         full = build_greedy(60)
         for max_norm in range(1, 61):
             assert build_greedy(max_norm) == norm_prefix(full, max_norm)
+
+    @pytest.mark.parametrize("seed", [None, 0, 1])
+    @pytest.mark.parametrize("max_norm", [*range(1, 61), 100])
+    def test_shell_ends_bound_each_shell(self, max_norm, seed):
+        # norm() is the oracle for where each shell starts and ends.
+        report = build_greedy(max_norm, rng=None if seed is None else random.Random(seed))
+        ends = report.shell_ends
+        assert len(ends) == max_norm + 1 and ends[0] == (0, 0)
+        assert ends[-1] == (len(report.included), len(report.excluded))
+        for n in range(1, max_norm + 1):
+            (i, e), (j, f) = ends[n - 1], ends[n]
+            shell = [*report.included[i:j], *(c for c, _ in report.excluded[e:f])]
+            # As many distinct elements of norm n as the class holds.
+            assert all(q.norm() == n for q in shell), n
+            assert len(shell) == len({q.coords for q in shell}) == count_norm_exact(n), n
 
     def test_enumerates_each_norm_once(self, monkeypatch):
         # Ratio classes come from the shells the build enumerates anyway,
@@ -322,7 +337,7 @@ class TestWitnessRevalidation:
         # Replace the first witness whose candidate has norm 36 by entry.
         i = next(i for i, (c, _) in enumerate(report.excluded) if c.norm() == 36)
         excluded = report.excluded[:i] + (entry,) + report.excluded[i + 1:]
-        return GreedyReport(report.max_norm, report.included, excluded)
+        return GreedyReport(report.max_norm, report.included, excluded, report.shell_ends)
 
     def test_passes_on_build(self, report):
         assert _witnesses_revalidated(report)
