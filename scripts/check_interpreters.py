@@ -17,6 +17,11 @@ this tree's src/ on PYTHONPATH, and relays the lines it prints.  Under
   factor by the Euclidean algorithm, and by a scan of every norm-p class
   in lexicographic order that takes the first left divisor.  It fails if
   any factorization differs, and hashes factor_modelled's factors.
+- factorize: a seeded corpus of products of known primes (see
+  factorize_corpus), each factorization known by construction, is
+  factored by gpfree.counting.factorize, whose trial division, Miller-Rabin
+  test and Pollard's rho splitter all take part.  It fails if any
+  factorization differs, and hashes the (n, pairs) of the corpus.
 - cli-parse: a seeded corpus of argvs, well-formed and not (see
   argv_corpus), goes to argparse and to the CLI's own parse of
   well-formed argvs, gpfree.cli._direct_parse.  It fails if an argv the
@@ -74,6 +79,14 @@ JSON_COMMANDS = [
 
 FACTOR_SEED = 2404
 FACTOR_SIZE = 20_000
+
+# Primes around 2**16 and 2**32, each checked by trial division when
+# chosen, and the Mersenne prime 2**61 - 1.
+LARGE_PRIMES = (65519, 65521, 65537, 65539, 65543,
+                4294967279, 4294967291, 4294967311, 4294967357, 2**61 - 1)
+FACTORIZE_SEED = 2929
+FACTORIZE_SIZE = 600
+FACTORIZE_BITS = 150
 
 # Each command's words and options, written out apart from the parser's own grammar.
 ARGV_COMMANDS = [
@@ -219,6 +232,40 @@ def check_factor() -> Iterator[tuple[bool, str]]:
            f" factors {digest.hexdigest()}")
 
 
+def factorize_corpus(seed: int, size: int) -> Iterator[tuple[int, list[tuple[int, int]]]]:
+    """size pairs (n, pairs) drawn from seed, pairs being n's factorization by construction.
+
+    Each n multiplies one to four prime powers p**e, e from 1 to 3, each
+    p drawn from the primes below 2**16 or from LARGE_PRIMES with even
+    odds.  A power that would take n past FACTORIZE_BITS bits, up to
+    which Pollard's rho has its full budget, is left out.
+    """
+    small = [p for p in range(2, 1 << 16) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+    rng = random.Random(seed)
+    for _ in range(size):
+        n, exponents = 1, {}
+        for _ in range(rng.randint(1, 4)):
+            p = rng.choice(small if rng.random() < 0.5 else LARGE_PRIMES)
+            e = rng.randint(1, 3)
+            if (n * p**e).bit_length() <= FACTORIZE_BITS:
+                n *= p**e
+                exponents[p] = exponents.get(p, 0) + e
+        yield n, sorted(exponents.items())
+
+
+def check_factorize() -> Iterator[tuple[bool, str]]:
+    from gpfree.counting import factorize
+
+    digest = hashlib.sha256()
+    differ = 0
+    for n, pairs in factorize_corpus(FACTORIZE_SEED, FACTORIZE_SIZE):
+        differ += list(factorize(n)) != pairs
+        digest.update(f"{n} {pairs}\n".encode())
+    yield (not differ,
+           f"{FACTORIZE_SIZE} products of known primes, {differ} differ from their"
+           f" construction; pairs {digest.hexdigest()}")
+
+
 def argv_corpus(seed: int, size: int) -> Iterator[list[str]]:
     """size argvs drawn from seed: mostly well-formed, each malformed in some way on purpose."""
     rng = random.Random(seed)
@@ -323,7 +370,7 @@ def check_greedy() -> Iterator[tuple[bool, str]]:
            f" build_greedy({GREEDY_MAX_NORM}) over seeds {GREEDY_SEEDS} {digest.hexdigest()}")
 
 
-CHECKS = {"json-writer": check_json_writer, "factor": check_factor,
+CHECKS = {"json-writer": check_json_writer, "factor": check_factor, "factorize": check_factorize,
           "cli-parse": check_cli_parse, "help": check_help, "greedy": check_greedy}
 
 

@@ -88,7 +88,9 @@ def _sig12(value: Fraction | Decimal) -> str:
 
 
 def _exact(value: Fraction) -> dict:
-    return {"decimal": _sig12(value), "rational": f"{value.numerator}/{value.denominator}"}
+    # The rational first: past 4300 digits str(int) refuses at once, where
+    # Decimal(int) alone would take most of a second.  The writer sorts keys.
+    return {"rational": f"{value.numerator}/{value.denominator}", "decimal": _sig12(value)}
 
 
 _CONSTANTS = {None: "null", True: "true", False: "false"}

@@ -49,24 +49,23 @@ def _primes_upto(limit: int) -> list[int]:
     return [2, *itertools.compress(range(1, limit + 1, 2), sieve)]
 
 
-# factorize's trial divisors: the odd primes up to _odd_primes_limit,
-# which grows to the largest square root asked for, up to _ODD_PRIMES_CAP.
-# The list is replaced on growth, never changed in place, and before the
-# limit is raised; a caller that still gets a shorter list stays correct,
-# since factorize goes on past its last prime.
+# factorize's trial divisors, published as one (limit, primes) tuple:
+# the odd primes up to limit, which grows to the largest square root
+# asked for, up to _ODD_PRIMES_CAP.  A call reads or replaces the whole
+# tuple, so the list it holds covers its limit whatever another thread
+# publishes meanwhile.
 _ODD_PRIMES_CAP = 1 << 16
-_odd_primes = [3]
-_odd_primes_limit = 3
+_odd_prime_table = (3, [3])
 
 
 def _odd_primes_covering(root: int) -> list[int]:
-    """The odd primes up to min(root, _ODD_PRIMES_CAP) or further, ascending."""
-    global _odd_primes, _odd_primes_limit
+    """Every odd prime up to min(root, _ODD_PRIMES_CAP), ascending, and perhaps more."""
+    global _odd_prime_table
     limit = min(root, _ODD_PRIMES_CAP)
-    if limit > _odd_primes_limit:
-        _odd_primes = _primes_upto(limit)[1:]
-        _odd_primes_limit = limit
-    return _odd_primes
+    table = _odd_prime_table
+    if limit > table[0]:
+        table = _odd_prime_table = (limit, _primes_upto(limit)[1:])
+    return table[1]
 
 
 # The first 13 primes as Miller-Rabin bases decide primality for every n
@@ -97,44 +96,38 @@ def _probable_prime(n: int) -> bool:
     return True
 
 
-def _large_prime(n: int) -> bool:
-    """Whether the odd n is a prime from 2**32 up to _MILLER_RABIN_BOUND, by Miller-Rabin.
+def _split_large(n: int) -> list[tuple[int, int]]:
+    """The factorization of an odd n > 1 with no prime factor below 2**16, as factorize gives it.
 
-    False for every n outside that range, prime or not.
-    """
-    return _ODD_PRIMES_CAP**2 <= n < _MILLER_RABIN_BOUND and _probable_prime(n)
-
-
-def _split_large(n: int) -> list[tuple[int, int]] | None:
-    """The factorization of an odd n from 2**32 on, as factorize gives it, or None below.
-
-    A perfect square is split at its square root, a prime below
-    _MILLER_RABIN_BOUND is returned whole, and any other n that
-    Miller-Rabin proves composite is split at the divisor
-    ``_rho_divisor`` finds.  Each part goes back to ``factorize``.  Any
-    other n past _SPLIT_BITS = 2400 bits is refused untried: there the
-    rho budget reaches no prime that trial division has not removed (see
+    Such an n below 2**32 is prime, and is returned whole.  From 2**32
+    on, a perfect square is split at its square root.  Any other n past
+    _SPLIT_BITS = 2400 bits is refused untried: there the rho budget
+    reaches no prime that trial division has not removed (see
     ``_rho_divisor``), and Miller-Rabin alone would take over a second
-    on a prime past about 2800 bits (1.5 s at 3217 bits).
+    on a prime past about 2800 bits (1.5 s at 3217 bits).  Below that,
+    an n that passes Miller-Rabin is returned whole if it lies below
+    _MILLER_RABIN_BOUND, where that proves it prime, and refused past
+    it; an n that fails is split at the divisor ``_rho_divisor`` finds.
+    Each part of a split is factored the same way, by recursion.
 
     Raises:
-        ValueError: for an n past _MILLER_RABIN_BOUND that passes
-            Miller-Rabin, which proves it neither prime nor composite,
-            for a composite n that ``_rho_divisor`` does not split
-            within its step budget, and for a non-square n past
-            _SPLIT_BITS.
+        ValueError: for a non-square n past _SPLIT_BITS, for an n past
+            _MILLER_RABIN_BOUND that passes Miller-Rabin, which proves
+            it neither prime nor composite, and for a composite n that
+            ``_rho_divisor`` does not split within its step budget; the
+            message names that n, which may be a part of the n given.
     """
     if n < _ODD_PRIMES_CAP**2:
-        return None
+        return [(n, 1)]
     d = math.isqrt(n)
     if d * d != n:
-        if _large_prime(n):
-            return [(n, 1)]
         if n.bit_length() > _SPLIT_BITS:
             raise ValueError(
                 f"cannot factor {n}: it has {n.bit_length()} bits, past the {_SPLIT_BITS}"
                 " up to which Pollard's rho reaches further than trial division")
-        if n >= _MILLER_RABIN_BOUND and _probable_prime(n):
+        if _probable_prime(n):
+            if n < _MILLER_RABIN_BOUND:
+                return [(n, 1)]
             raise ValueError(
                 f"cannot factor {n}: it is past {_MILLER_RABIN_BOUND} and passes"
                 f" Miller-Rabin to all {len(_MILLER_RABIN_BASES)} bases, which proves"
@@ -146,7 +139,7 @@ def _split_large(n: int) -> list[tuple[int, int]] | None:
                 f" {_rho_budget(n)} steps for a {n.bit_length()}-bit number")
     exponents: dict[int, int] = {}
     for part in (d, n // d):
-        for p, e in factorize(part):
+        for p, e in _split_large(part):
             exponents[p] = exponents.get(p, 0) + e
     return sorted(exponents.items())
 
@@ -237,30 +230,19 @@ def factorize(n: int):
 
     A generator, so a caller that stops early (a prime test at the first
     factor, a membership test at the first bad exponent) pays only for
-    the trial division up to that factor.  The odd trial divisors come
-    from a shared table of odd primes, sieved by ``_primes_upto`` and
+    the trial division up to that factor.  Trial division runs once,
+    over a shared table of odd primes, sieved by ``_primes_upto`` and
     grown on demand to the largest square root asked for so far, up to
-    2**16; so any n < 2**32 is factored from the table alone.  Past the
-    last prime of the table the generator holds, trial division goes on
-    over the odd numbers after that prime; but first, and again after
-    each factor found there, a cofactor from 2**32 on is handed to
-    ``_split_large``.  That yields a prime below _MILLER_RABIN_BOUND
-    whole and splits any cofactor Miller-Rabin proves composite by
-    Pollard's rho, within a budget of 2**20 steps up to 150 bits and
-    fewer past that (see ``_rho_budget``).  A cofactor past the
-    bound that passes Miller-Rabin is neither proved prime nor split, so
-    it is refused rather than trial-divided up to its square root, and
-    so is a composite that rho does not split within its budget, and a
-    non-square cofactor past 2400 bits.  So
-    trial division past the table runs only below 2**32, on a table
-    shorter than its limit.
+    2**16.  What it leaves is 1, or a prime below 2**32, yielded as it
+    is, or a cofactor from 2**32 on with no prime factor below 2**16,
+    which ``_split_large`` factors by Miller-Rabin and Pollard's rho.
 
     Raises:
-        ValueError: if n < 1, or if a cofactor past _MILLER_RABIN_BOUND
-            passes Miller-Rabin to every base, or if Pollard's rho does
-            not split a composite cofactor within its budget, or if a
-            non-square cofactor is past 2400 bits; the message names the
-            cofactor.
+        ValueError: if n < 1, or if ``_split_large`` refuses a cofactor:
+            one past _MILLER_RABIN_BOUND that passes Miller-Rabin to
+            every base, a composite that Pollard's rho does not split
+            within its budget, or a non-square past 2400 bits.  The
+            message names the cofactor.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
@@ -269,8 +251,7 @@ def factorize(n: int):
         yield 2, twos
         n >>= twos
     root = math.isqrt(n)
-    primes = _odd_primes_covering(root)
-    for p in primes:
+    for p in _odd_primes_covering(root):
         if p > root:
             break
         if n % p == 0:
@@ -280,24 +261,9 @@ def factorize(n: int):
                 e += 1
             yield p, e
             root = math.isqrt(n)
-    else:
-        f = primes[-1] + 2
-        rest = _split_large(n)
-        while f <= root and rest is None:
-            if n % f == 0:
-                e = 0
-                while n % f == 0:
-                    n //= f
-                    e += 1
-                yield f, e
-                root = math.isqrt(n)
-                rest = _split_large(n)
-            f += 2
-        if rest is not None:
-            # Every prime factor of n is at least f, past those yielded.
-            yield from rest
-            return
-    if n > 1:
+    if root >= _ODD_PRIMES_CAP:  # n >= 2**32, so the whole table was tried
+        yield from _split_large(n)
+    elif n > 1:
         yield n, 1
 
 

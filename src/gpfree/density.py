@@ -107,8 +107,9 @@ def lower_bound_density() -> Fraction:
 def upper_bound_density(terms: int | None = None) -> Fraction:
     """Upper bound for the density of a geometric-progression-free set.
 
-    Each excluded region contributes 3/4 * 2**-(4 + 6i); with terms=None
-    the full series is summed in closed form to 20/21.
+    Each excluded region contributes 3/4 * 2**-(4 + 6i).  The first t
+    of them sum to (1 - 64**-t) / 21, so t terms leave
+    20/21 + 64**-t / 21, and terms=None the limit 20/21.
 
     Args:
         terms: number of exclusion terms to apply, at least 1, or None
@@ -121,10 +122,7 @@ def upper_bound_density(terms: int | None = None) -> Fraction:
         return Fraction(20, 21)
     if terms < 1:
         raise ValueError(f"terms must be positive, got {terms}")
-    total = Fraction(1)
-    for i in range(terms):
-        total -= Fraction(3, 4) * Fraction(1, 2 ** (4 + 6 * i))
-    return total
+    return Fraction(20, 21) + Fraction(1, 21 * 64**terms)
 
 
 def _kept_mask(max_norm: int, spec: AnnuliSpec) -> bytearray:
@@ -242,12 +240,12 @@ def _apfree_exponents(max_exponent: int) -> list[int]:
 def rankin_even_factor(max_exponent: int) -> Fraction:
     """The p = 2 factor of the Rankin density product, exact.
 
-    Sum of 3/4**(n+1) over allowed exponents n up to max_exponent.
+    Sum of 3/4**(n+1) over allowed exponents n up to max_exponent, as
+    one fraction over 4**(m+1) for the largest allowed exponent m.
     """
-    return sum(
-        (Fraction(3, 4 ** (n + 1)) for n in _apfree_exponents(max_exponent)),
-        Fraction(0),
-    )
+    exponents = _apfree_exponents(max_exponent)
+    top = max(exponents, default=0)
+    return Fraction(sum(3 * 4 ** (top - n) for n in exponents), 4 ** (top + 1))
 
 
 # Odd-prime factors lie in [5/9, 1), so 50 significant digits are 50

@@ -200,6 +200,19 @@ class TestBounds:
         _, second = invoke(capsys, "bounds")
         assert first == second
 
+    def test_terms_past_the_digit_limit_exits_2_at_once(self, capsys):
+        # The upper bound at 100000 terms has about 180,000 digits in its
+        # denominator, past the 4300 that str(int) renders.
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            run(["bounds", "--terms", "100000"])
+        assert time.perf_counter() - start < 1
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("gpfree: error: ")
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
 
 class TestCallerDecimalContext:
     # run() called in process must print the same decimals whatever

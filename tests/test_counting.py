@@ -117,8 +117,7 @@ AROUND_CAP = (65521, 65537, 65539)
 @pytest.fixture(params=[65537**2, 10**4], ids=["grown-large", "grown-small"])
 def prime_table(request, monkeypatch):
     """factorize's prime table, reset to its start, then grown first by a large or a small n."""
-    monkeypatch.setattr(counting, "_odd_primes", [3])
-    monkeypatch.setattr(counting, "_odd_primes_limit", 3)
+    monkeypatch.setattr(counting, "_odd_prime_table", (3, [3]))
     list(factorize(request.param))
 
 
@@ -143,43 +142,48 @@ class TestFactorizeOracle:
         assert list(factorize(n)) == list(factorize_oracle(n))
 
     def test_table_grows_to_the_largest_root(self, monkeypatch):
-        monkeypatch.setattr(counting, "_odd_primes", [3])
-        monkeypatch.setattr(counting, "_odd_primes_limit", 3)
+        monkeypatch.setattr(counting, "_odd_prime_table", (3, [3]))
         root = math.isqrt(10**9 + 7)
         list(factorize(10**9 + 7))
-        assert counting._odd_primes_limit == root
-        assert counting._odd_primes == counting._primes_upto(root)[1:]
+        assert counting._odd_prime_table == (root, counting._primes_upto(root)[1:])
         list(factorize(10**6 + 3))
-        assert counting._odd_primes_limit == root
+        assert counting._odd_prime_table[0] == root
         list(factorize(65537**2))
-        assert counting._odd_primes_limit == 2**16
-        assert counting._odd_primes[-1] == 65521
+        assert counting._odd_prime_table[0] == 2**16
+        assert counting._odd_prime_table[1][-1] == 65521
 
     def test_suspended_generator_keeps_its_table(self, monkeypatch):
         # A generator that started on a short table finishes on it, with
         # the same pairs, while another call grows the table.
-        monkeypatch.setattr(counting, "_odd_primes", [3])
-        monkeypatch.setattr(counting, "_odd_primes_limit", 3)
+        monkeypatch.setattr(counting, "_odd_prime_table", (3, [3]))
         n = 3 * 5 * 7 * 11 * 13 * 97
         scan = factorize(n)
         head = [next(scan), next(scan)]
         list(factorize(65539**2))
         assert head + list(scan) == list(factorize_oracle(n))
 
-    def test_short_table_goes_on_over_odd_numbers(self, monkeypatch):
-        # A table shorter than its recorded limit, as a thread may read
-        # while another replaces the table, still factors correctly: trial
-        # division goes on from the last prime held, not from the limit.
-        monkeypatch.setattr(counting, "_odd_primes", [3, 5, 7])
-        monkeypatch.setattr(counting, "_odd_primes_limit", 2**16)
-        for n in (11 * 13 * 65537, 65521 * 65537, 3 * 65539**2, 2**32 + 15):
+    def test_smaller_table_published_while_sieving(self, monkeypatch):
+        # Another thread may publish a smaller table while this call
+        # sieves; the call still trial-divides by the table it built.
+        sieve = counting._primes_upto
+
+        def racing_sieve(limit):
+            counting._odd_prime_table = (5, [3, 5])
+            return sieve(limit)
+
+        monkeypatch.setattr(counting, "_primes_upto", racing_sieve)
+        for n in (997 * 1009, 11 * 13 * 65537, 65521 * 65537, 3 * 65539**2, 2**32 + 15):
+            monkeypatch.setattr(counting, "_odd_prime_table", (3, [3]))
+            root = math.isqrt(n)
+            assert counting._odd_primes_covering(root) == sieve(min(root, 2**16))[1:]
+            monkeypatch.setattr(counting, "_odd_prime_table", (3, [3]))
             assert list(factorize(n)) == list(factorize_oracle(n)), n
 
 
 class TestLargePrimeCofactor:
     # Past the table, a cofactor from 2**32 on is proved prime below the
     # Miller-Rabin bound, or proved composite and split by Pollard's rho,
-    # before trial division goes on.
+    # and each part is split the same way by _split_large.
     def test_mersenne_61_counts_fast(self):
         start = time.perf_counter()
         assert count_norm_exact(2**61 - 1) == 24 * 2**61
@@ -204,9 +208,28 @@ class TestLargePrimeCofactor:
         (65537**3, [(65537, 3)]),
         (3 * 65537**5, [(3, 1), (65537, 5)]),
         ((2**31 - 1) ** 2 * (2**61 - 1), [(2**31 - 1, 2), (2**61 - 1, 1)]),
+        # splits that leave a composite part, split again in turn
+        ((65537 * 65539) ** 2, [(65537, 2), (65539, 2)]),
+        (65537**2 * 65539, [(65537, 2), (65539, 1)]),
+        (65537 * 65539 * (2**61 - 1), [(65537, 1), (65539, 1), (2**61 - 1, 1)]),
     ])
     def test_factorizations(self, n, pairs):
         assert list(factorize(n)) == pairs
+
+    @pytest.mark.parametrize("n, pairs", [
+        ((65537 * 65539) ** 2, [(65537, 2), (65539, 2)]),
+        (65537 * 65539 * 65543, [(65537, 1), (65539, 1), (65543, 1)]),
+        (3825123056546413051, [(149491, 1), (747451, 1), (34233211, 1)]),
+        ((2**31 - 1) ** 2 * (2**61 - 1), [(2**31 - 1, 2), (2**61 - 1, 1)]),
+    ])
+    def test_split_large_never_calls_factorize(self, monkeypatch, n, pairs):
+        # No part of a split can have a prime factor below 2**16, so
+        # _split_large recurses on itself, not through trial division.
+        def no_factorize(m):
+            raise AssertionError(f"factorize({m}) called")
+
+        monkeypatch.setattr(counting, "factorize", no_factorize)
+        assert counting._split_large(n) == pairs
 
     @pytest.mark.parametrize("n", [
         65537 * 65539, 65537**3, 3825123056546413051, 318665857834031151167461,
@@ -222,17 +245,31 @@ class TestLargePrimeCofactor:
         (2**31 - 1) * (2**61 - 1),
     ])
     def test_strong_pseudoprimes_are_composite(self, n):
-        assert not counting._large_prime(n)
+        pairs = counting._split_large(n)
+        assert len(pairs) > 1
+        assert math.prod(p**e for p, e in pairs) == n
 
     def test_primes_in_range(self):
-        assert counting._large_prime(2**61 - 1)
-        assert counting._large_prime(2**64 - 59)
-        assert counting._large_prime(2**80 - 65)
+        for p in (2**61 - 1, 2**64 - 59, 2**80 - 65):
+            assert counting._split_large(p) == [(p, 1)]
 
     @pytest.mark.parametrize("n", [2**31 - 1, 4294967291, 2**89 - 1])
-    def test_primes_outside_range_are_left_to_trial_division(self, n):
-        # below 2**32 (the table decides those) or past the bound (refused)
-        assert not counting._large_prime(n)
+    def test_primes_outside_range_are_left_to_trial_division(self, monkeypatch, n):
+        # Below 2**32 the table has decided, so _split_large returns n
+        # whole untested; past the bound Miller-Rabin proves nothing, and
+        # _split_large refuses.
+        tested = []
+        probable_prime = counting._probable_prime
+        monkeypatch.setattr(counting, "_probable_prime",
+                            lambda m: tested.append(m) or probable_prime(m))
+        if n < 2**32:
+            assert counting._split_large(n) == [(n, 1)]
+            assert list(factorize(n)) == [(n, 1)]
+            assert tested == []
+        else:
+            with pytest.raises(ValueError, match=f"cannot factor {n}: it is past"):
+                counting._split_large(n)
+            assert tested == [n]
 
     @pytest.mark.parametrize("n, cofactor", [
         (2**89 - 1, 2**89 - 1), (2**107 - 1, 2**107 - 1), (3 * 5**7 * (2**89 - 1), 2**89 - 1),
@@ -287,14 +324,21 @@ class TestLargePrimeCofactor:
 
     def test_matches_a_segment_sieve_above_2_32(self):
         # every odd n in [2**32, 2**32 + 20000) against a sieve of that
-        # segment by the primes up to 2**16, which covers its square roots
+        # segment by the primes up to 2**16, which covers its square roots:
+        # each p divides out of its multiples, and what is left is 1 or prime
         low, size = 2**32, 20_000
-        composite = bytearray(size)
+        rest = list(range(low, low + size))
+        pairs = [[] for _ in range(size)]
         for p in counting._primes_upto(2**16):
-            start = -low % p
-            composite[start::p] = bytes([1]) * len(range(start, size, p))
+            for i in range(-low % p, size, p):
+                e = 0
+                while rest[i] % p == 0:
+                    rest[i] //= p
+                    e += 1
+                pairs[i].append((p, e))
         for n in range(low + 1, low + size, 2):
-            assert counting._large_prime(n) == (not composite[n - low]), n
+            i = n - low
+            assert list(factorize(n)) == pairs[i] + [(rest[i], 1)] * (rest[i] > 1), n
 
 
 def test_is_rational_prime_around_the_cap():

@@ -101,6 +101,13 @@ class TestBounds:
         assert upper_bound_density(1) == Fraction(61, 64)
         assert upper_bound_density(2) == Fraction(3901, 4096)
 
+    def test_upper_bound_matches_term_by_term_sum(self):
+        # the closed form against the series it sums, one term at a time
+        total = Fraction(1)
+        for terms in range(1, 301):
+            total -= Fraction(3, 4) * Fraction(1, 2 ** (4 + 6 * (terms - 1)))
+            assert upper_bound_density(terms) == total, terms
+
     def test_upper_bound_monotone_to_limit(self):
         values = [upper_bound_density(t) for t in range(1, 8)]
         assert all(a > b for a, b in zip(values, values[1:]))
@@ -292,6 +299,14 @@ class TestRankinDensity:
         assert rankin_even_factor(12) == sum(
             Fraction(3, 4 ** (n + 1)) for n in exponents
         )
+
+    def test_even_factor_matches_term_by_term_sum(self):
+        # the one fraction over 4**(m+1) against a sum of one fraction per exponent
+        total = Fraction(3, 4)
+        for max_exponent in range(1, 201):
+            if rankin_apfree_contains(max_exponent):
+                total += Fraction(3, 4 ** (max_exponent + 1))
+            assert rankin_even_factor(max_exponent) == total, max_exponent
 
     def test_estimate_validation(self):
         with pytest.raises(ValueError):
