@@ -9,7 +9,7 @@ this tree's src/ on PYTHONPATH, and relays the lines it prints.  Under
 
 - json-writer: each command of JSON_COMMANDS is run through its handler,
   every lazy list read out, and encoded by the CLI's writer,
-  gpfree.cli._json_text, and by json.dumps(value, sort_keys=True,
+  gpfree.cli._json_chunks, and by json.dumps(value, sort_keys=True,
   indent=2).  It fails if any pair of texts differs, and hashes the
   writer's texts.
 - factor: a seeded corpus of (q, model) pairs (see factor_corpus) is
@@ -135,14 +135,14 @@ def materialized(value):
 
 
 def check_json_writer() -> Iterator[tuple[bool, str]]:
-    from gpfree.cli import _build_parser, _json_text
+    from gpfree.cli import _build_parser, _json_chunks
 
     digest = hashlib.sha256()
     differ = 0
     for command in JSON_COMMANDS:
         args = _build_parser()[0].parse_args(command.split())
         value = materialized(args.func(args)[0])
-        text = _json_text(value)
+        text = "".join(_json_chunks(value))
         differ += text != json.dumps(value, sort_keys=True, indent=2)
         digest.update(f"{command}\n{text}\n".encode())
     yield (not differ,

@@ -17,7 +17,7 @@ written one by one, so greedy-hur renders and writes one norm shell at
 a time and never holds its whole output.
 
 The JSON is the bytes of json.dumps(result, sort_keys=True, indent=2)
-for what the handlers emit (see _json_text), which the tests check
+for what the handlers emit (see _json_chunks), which the tests check
 against json.dumps itself.  Element texts are formatted from coordinate
 tuples by quaternion's bulk renderers, never one str() call per element.
 
@@ -87,45 +87,20 @@ def _sig12(value: Fraction | Decimal) -> str:
     return _SIG12.to_sci_string(_SIG12.divide(Decimal(value.numerator), Decimal(value.denominator)))
 
 
-def _exact(value: Fraction) -> dict:
-    # The rational first: past 4300 digits str(int) refuses at once, where
-    # Decimal(int) alone would take most of a second.  The writer sorts keys.
-    return {"rational": f"{value.numerator}/{value.denominator}", "decimal": _sig12(value)}
+def _exact(value: Fraction, option: str) -> dict:
+    """value as "p/q" and to 12 digits; option, the argument that sized it, names a refusal."""
+    # The rational first: past the interpreter's digit limit str(int) refuses
+    # at once, where Decimal(int) alone would take most of a second.  The
+    # writer sorts keys.
+    try:
+        rational = f"{value.numerator}/{value.denominator}"
+    except ValueError:
+        raise ValueError(f"{option} is too large: its exact value passes the limit of"
+                         f" {sys.get_int_max_str_digits()} digits on a printed integer") from None
+    return {"rational": rational, "decimal": _sig12(value)}
 
 
 _CONSTANTS = {None: "null", True: "true", False: "false"}
-
-
-def _json_text(value, level: int = 0) -> str:
-    """value as ``json.dumps(value, sort_keys=True, indent=2)`` writes it, nested level deep.
-
-    Takes what the handlers emit: dicts with str keys, lists, str, int,
-    bool and None, each of exactly that type, and lazy lists (see
-    _json_chunks, which lays out every non-empty dict).  A list's items
-    go through _column, which encodes a list of one type at C level.
-
-    Raises:
-        TypeError: for any other value, such as a float, a tuple, a set
-            or a dict key that is not a str (which _quote or sorting the
-            keys refuses), even where json.dumps would accept it.
-    """
-    kind = type(value)
-    if kind is str:
-        return _quote(value)
-    if kind is int:
-        return int.__repr__(value)
-    if kind is bool or value is None:
-        return _CONSTANTS[value]
-    if kind is list:
-        if not value:
-            return "[]"
-        inner = "\n" + "  " * (level + 1)
-        return "[" + inner + _joined(value, level + 1) + "\n" + "  " * level + "]"
-    if kind is dict:
-        return "".join(_json_chunks(value, level)) if value else "{}"
-    if isinstance(value, Iterator):
-        return "".join(_json_chunks(value, level))
-    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def _column(values: list, level: int) -> tuple[str, Iterable]:
@@ -145,20 +120,13 @@ def _column(values: list, level: int) -> tuple[str, Iterable]:
         rows = _rows(values, level)
         if rows is not None:
             return "%s", rows
-    return "%s", [_json_text(value, level) for value in values]
+    return "%s", ["".join(_json_chunks(value, level)) for value in values]
 
 
 def _plain(strs: list[str]) -> bool:
     """Whether every str's JSON text is the str in quotes: printable ASCII without " or \\."""
     text = "".join(strs)
     return text.isascii() and text.isprintable() and '"' not in text and "\\" not in text
-
-
-def _joined(values: list, level: int) -> str:
-    """The JSON texts of a list's items, nested level deep, joined as a list joins them."""
-    slot, column = _column(values, level)
-    left, _, right = slot.partition("%s")
-    return left + (right + ",\n" + "  " * level + left).join(column) + right
 
 
 def _rows(rows: list[dict], level: int) -> Iterable[str] | None:
@@ -182,33 +150,50 @@ def _rows(rows: list[dict], level: int) -> Iterable[str] | None:
 
 
 def _json_chunks(value, level: int = 0) -> Iterator[str]:
-    """The text of _json_text(value, level) in chunks, rendering lazy lists as they are read.
+    """value as ``json.dumps(value, sort_keys=True, indent=2)`` writes it, nested level deep, in chunks.
 
-    A lazy list is an iterator of runs, each a list: it is written as
-    one JSON list of all the runs' items, a run at a time, so it is
-    never held whole.  A non-empty dict is written a member at a time;
-    any other value is one chunk.
+    Takes what the handlers emit: dicts with str keys, lists, str, int,
+    bool and None, each of exactly that type, and lazy lists.  A lazy
+    list is an iterator of runs, each a list: it is written as one JSON
+    list of all the runs' items, a run at a time, so it is never held
+    whole.  A list is written as a lazy list of one run, and a run's
+    items go through _column, which encodes a list of one type at C
+    level.  A non-empty dict is written a member at a time.
+
+    Raises:
+        TypeError: for any other value, such as a float, a tuple, a set
+            or a dict key that is not a str (which _quote or sorting the
+            keys refuses), even where json.dumps would accept it.
     """
-    if isinstance(value, Iterator):
-        inner = "\n" + "  " * (level + 1)
-        sep = "[" + inner
-        for run in value:
-            if type(run) is not list:
-                raise TypeError(f"a lazy list's runs must be lists, not {type(run).__name__}")
-            if run:
-                yield sep + _joined(run, level + 1)
-                sep = "," + inner
-        yield "[]" if sep[0] == "[" else "\n" + "  " * level + "]"
-    elif type(value) is dict and value:
+    kind = type(value)
+    if kind is str:
+        yield _quote(value)
+    elif kind is int:
+        yield int.__repr__(value)
+    elif kind is bool or value is None:
+        yield _CONSTANTS[value]
+    elif kind is dict:
         inner = "\n" + "  " * (level + 1)
         sep = "{" + inner
         for key, item in sorted(value.items()):
             yield sep + _quote(key) + ": "
             yield from _json_chunks(item, level + 1)
             sep = "," + inner
-        yield "\n" + "  " * level + "}"
+        yield "{}" if sep[0] == "{" else "\n" + "  " * level + "}"
+    elif kind is list or isinstance(value, Iterator):
+        inner = "\n" + "  " * (level + 1)
+        sep = "[" + inner
+        for run in [value] if kind is list else value:
+            if type(run) is not list:
+                raise TypeError(f"a lazy list's runs must be lists, not {type(run).__name__}")
+            if run:
+                slot, column = _column(run, level + 1)
+                left, _, right = slot.partition("%s")
+                yield sep + left + (right + "," + inner + left).join(column) + right
+                sep = "," + inner
+        yield "[]" if sep[0] == "[" else "\n" + "  " * level + "]"
     else:
-        yield _json_text(value, level)
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def _write(result: dict | str | Iterable[str], args) -> None:
@@ -266,6 +251,8 @@ def _cmd_count(args) -> tuple[dict | str, int]:
     if args.upto is not None:
         if args.upto < 0:
             raise ValueError(f"--upto must be nonnegative, got {args.upto}")
+        if args.upto > 10**12:  # count_upto's O(sqrt(N)) loop takes about 0.6 s there
+            raise ValueError(f"--upto must be at most 10**12, got {args.upto}")
         return {"command": "count", "provenance": "divisor-sum-swap",
                 "total": count_upto(args.upto), "upto": args.upto}, 0
     return {"command": "count", "count": count_norm_exact(args.norm), "norm": args.norm,
@@ -283,10 +270,10 @@ def _cmd_enumerate(args) -> tuple[dict | str, int]:
 def _cmd_bounds(args) -> tuple[dict | str, int]:
     return {
         "command": "bounds",
-        "lower": _exact(lower_bound_density()),
+        "lower": _exact(lower_bound_density(), "the lower bound"),
         "provenance": "annuli-vs-doubling-exclusion",
         "terms": "inf" if args.terms is None else args.terms,
-        "upper": _exact(upper_bound_density(args.terms)),
+        "upper": _exact(upper_bound_density(args.terms), f"--terms {args.terms}"),
     }, 0
 
 
@@ -369,10 +356,10 @@ def _cmd_freegroup_greedy(args) -> tuple[dict | str, int]:
 def _cmd_freegroup_density(args) -> tuple[dict | str, int]:
     return {
         "command": "freegroup-density",
-        "integers": _exact(greedy_set_density(args.n)),
+        "integers": _exact(greedy_set_density(args.n), f"--n {args.n}"),
         "n": args.n,
         "provenance": "greedy-share-closed-form",
-        "words": _exact(greedy_words_density(args.n)),
+        "words": _exact(greedy_words_density(args.n), f"--n {args.n}"),
     }, 0
 
 

@@ -15,7 +15,7 @@ import pytest
 
 import gpfree
 from gpfree.checks import CheckResult
-from gpfree.cli import _build_parser, _direct_parse, _json_chunks, _json_text, run
+from gpfree.cli import _build_parser, _direct_parse, _json_chunks, run
 from gpfree.greedy import build_greedy
 from gpfree.quaternion import enumerate_norm
 
@@ -74,6 +74,7 @@ class TestCount:
 
     @pytest.mark.parametrize("argv, message", [
         ("count --upto -1", "--upto must be nonnegative, got -1"),
+        ("count --upto 1000000000001", "--upto must be at most 10**12, got 1000000000001"),
         ("count --table 0", "--table must be positive, got 0"),
         ("count --table -4 --emit csv", "--table must be positive, got -4"),
     ])
@@ -84,6 +85,22 @@ class TestCount:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"gpfree: error: {message}\n"
+
+    def test_upto_at_the_bound_is_counted(self, monkeypatch, capsys):
+        # count_upto itself takes about 0.6 s at 10**12; the bound is what is tested.
+        monkeypatch.setattr("gpfree.cli.count_upto", lambda n: -n)
+        code, payload = invoke_json(capsys, "count", "--upto", str(10**12))
+        assert code == 0
+        assert payload["total"] == -(10**12)
+
+    def test_upto_past_the_bound_exits_2_at_once(self, capsys):
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            run(["count", "--upto", str(10**21)])
+        assert time.perf_counter() - start < 1
+        assert exc.value.code == 2
+        assert capsys.readouterr() == (
+            "", f"gpfree: error: --upto must be at most 10**12, got {10**21}\n")
 
     def test_modes_mutually_exclusive(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -212,6 +229,41 @@ class TestBounds:
         assert captured.out == ""
         assert captured.err.startswith("gpfree: error: ")
         assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+
+@pytest.fixture
+def default_digit_limit():
+    """The interpreter's default limit of 4300 digits on str(int), restored afterwards."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(limit)
+
+
+class TestDigitLimit:
+    # Under the default limit, --terms 2380 and --n 9011 are the largest
+    # values whose exact output prints; one more refuses with one line.
+    @pytest.mark.parametrize("argv, key, digits", [
+        ("bounds --terms 2380", "upper", 4299),
+        ("freegroup density --n 9011", "integers", 4300),
+        ("freegroup density --n 9011", "words", 4300),
+    ])
+    def test_largest_that_prints(self, argv, key, digits, default_digit_limit, capsys):
+        code, payload = invoke_json(capsys, *argv.split())
+        assert code == 0
+        assert max(map(len, payload[key]["rational"].split("/"))) == digits
+
+    @pytest.mark.parametrize("argv, option", [
+        ("bounds --terms 2381", "--terms 2381"),
+        ("freegroup density --n 9012", "--n 9012"),
+    ])
+    def test_one_more_names_the_option(self, argv, option, default_digit_limit, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(argv.split())
+        assert exc.value.code == 2
+        assert capsys.readouterr() == ("", f"gpfree: error: {option} is too large: its exact"
+                                           " value passes the limit of 4300 digits on a"
+                                           " printed integer\n")
 
 
 class TestCallerDecimalContext:
@@ -407,9 +459,7 @@ class TestJsonWriter:
 
     @pytest.mark.parametrize("value", SYNTHETIC, ids=range(len(SYNTHETIC)))
     def test_synthetic(self, value):
-        expected = json.dumps(value, sort_keys=True, indent=2)
-        assert _json_text(value) == expected
-        assert "".join(_json_chunks(value)) == expected
+        assert "".join(_json_chunks(value)) == json.dumps(value, sort_keys=True, indent=2)
 
     def test_lazy_lists(self):
         def value():
@@ -417,8 +467,8 @@ class TestJsonWriter:
                     "c": {"d": iter([[{"e": 1}], [{"e": 2}]]), "g": [1]}}
         expected = json.dumps(materialized(value()), sort_keys=True, indent=2)
         assert "".join(_json_chunks(value())) == expected
-        assert _json_text(value()) == expected
-        assert "".join(_json_chunks(iter([[1], [], [{"a": "b"}]]), 2)) == _json_text([1, {"a": "b"}], 2)
+        assert ("".join(_json_chunks(iter([[1], [], [{"a": "b"}]]), 2))
+                == "".join(_json_chunks([1, {"a": "b"}], 2)))
 
     REFUSED = [
         1.5, float("nan"), [1.5], {"a": 2.0}, (1, 2), [(1, 2)], {1, 2}, frozenset(), b"x",
@@ -430,8 +480,6 @@ class TestJsonWriter:
     def test_refuses_what_no_handler_emits(self, value):
         with pytest.raises(TypeError):
             "".join(_json_chunks(value))
-        with pytest.raises(TypeError):
-            _json_text(value)
 
     @pytest.mark.parametrize("make", [
         lambda: {"a": iter([[1.5]])}, lambda: {2: iter([])}, lambda: iter([(1,)]),
@@ -440,8 +488,6 @@ class TestJsonWriter:
     def test_refuses_in_lazy_lists(self, make):
         with pytest.raises(TypeError):
             "".join(_json_chunks(make()))
-        with pytest.raises(TypeError):
-            _json_text(make())
 
 
 class TestStreamFailure:
