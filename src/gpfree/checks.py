@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
@@ -41,12 +40,13 @@ from .freegroup import (
 )
 from .greedy import GreedyReport, build_greedy
 from .quaternion import HurwitzInt, _mul, enumerate_norm, is_unit_square_representable
+from .records import Record
 
 __all__ = ["CheckResult", "run_checks"]
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
+    __slots__ = ("name", "ok", "detail", "seconds")
     name: str
     ok: bool
     detail: str

@@ -46,7 +46,6 @@ import functools
 import os
 import sys
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from itertools import chain, pairwise
@@ -72,6 +71,7 @@ from .freegroup import (
 )
 from .greedy import build_greedy
 from .quaternion import format_elements, format_norm
+from .records import Record
 
 __all__ = ["main", "run"]
 
@@ -406,8 +406,7 @@ def _cmd_verify_all(args) -> tuple[dict | str, int]:
     return "".join(lines), 0 if not failed else 1
 
 
-@dataclass(frozen=True)
-class _Grammar:
+class _Grammar(Record):
     """One level of the parser, as _direct_parse reads it.
 
     Everything here is an object that argparse returned while the parser
@@ -420,11 +419,13 @@ class _Grammar:
     the handler that set_defaults gives it as func.
     """
 
+    __slots__ = ("options", "exclusive", "subparsers", "commands", "handler")
     options: dict[str, argparse.Action]
-    exclusive: tuple[argparse.Action, ...] = ()
-    subparsers: argparse.Action | None = None
-    commands: dict[str, _Grammar] | None = None
-    handler: Callable | None = None
+    exclusive: tuple[argparse.Action, ...]
+    subparsers: argparse.Action | None
+    commands: dict[str, _Grammar] | None
+    handler: Callable | None
+    _defaults = {"exclusive": (), "subparsers": None, "commands": None, "handler": None}
 
 
 def _leaf(parser: argparse.ArgumentParser, handler: Callable, *actions: argparse.Action,

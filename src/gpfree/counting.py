@@ -15,8 +15,9 @@ import itertools
 import math
 import operator
 from collections.abc import Mapping, ValuesView
-from dataclasses import dataclass
 from fractions import Fraction
+
+from .records import Record
 
 __all__ = [
     "NormCount",
@@ -396,8 +397,7 @@ class _ByNorm(Mapping):
         return f"{type(self).__name__}(max_norm={len(self)})"
 
 
-@dataclass(frozen=True)
-class NormCount:
+class NormCount(Record):
     """Per-norm and cumulative counts for all norms up to a bound.
 
     per_norm and cumulative are read-only mappings over the norms
@@ -405,6 +405,7 @@ class NormCount:
     that range raises KeyError, and .values() runs in norm order.
     """
 
+    __slots__ = ("max_norm", "per_norm", "cumulative")
     max_norm: int
     per_norm: Mapping[int, int]
     cumulative: Mapping[int, int]

@@ -16,11 +16,11 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 
 from .counting import _primes_upto, factorize
+from .records import Record
 
 __all__ = [
     "AnnuliSpec",
@@ -36,8 +36,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class AnnuliSpec:
+class AnnuliSpec(Record):
     """Blueprint for a union of norm annuli that avoids geometric triples.
 
     Around each scale M the construction keeps the norms in the
@@ -51,16 +50,11 @@ class AnnuliSpec:
             each pair is a tuple of two ints lo > hi >= 1.
     """
 
-    interval_ratios: tuple[tuple[int, int], ...] = (
-        (48, 45),
-        (40, 36),
-        (32, 27),
-        (24, 12),
-        (9, 8),
-        (4, 1),
-    )
+    __slots__ = ("interval_ratios",)
+    interval_ratios: tuple[tuple[int, int], ...]
+    _defaults = {"interval_ratios": ((48, 45), (40, 36), (32, 27), (24, 12), (9, 8), (4, 1))}
 
-    def __post_init__(self):
+    def _validate(self) -> None:
         if not self.interval_ratios:
             raise ValueError("interval_ratios must hold at least one (lo, hi) pair")
         for pair in self.interval_ratios:
@@ -214,21 +208,23 @@ def rankin_gpfree_contains(n: int) -> bool:
     return all(rankin_apfree_contains(e) for _, e in factorize(n))
 
 
-@dataclass(frozen=True)
-class DensityEstimate:
+class DensityEstimate(Record):
     """A truncated Euler-product density and how it was truncated.
 
     truncation is the pair (max_prime, max_exponent) that was used.
     monotone_direction, a class constant, is the side from which the
-    truncated value approaches the true one: "over", as the estimate
-    only decreases when the truncation grows.
+    truncated value approaches the true one as max_prime grows: "over",
+    as each dropped prime's factor is below 1.  The exponent cut drops
+    positive terms instead, so the value rises with max_exponent
+    (rankin_density(10**4, e) is 0.756503 at e = 3, 0.771252 at e = 40).
     """
 
+    __slots__ = ("value", "truncation")
     value: Decimal
     truncation: tuple[int, int]
     monotone_direction = "over"
 
-    def __post_init__(self):
+    def _validate(self) -> None:
         if not 0 <= self.value <= 1:
             raise ValueError(f"density {self.value} outside [0, 1]")
 

@@ -12,15 +12,14 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 
 from .quaternion import HurwitzInt, _collector_paused, _mul, enumerate_norm, units
+from .records import Record
 
 __all__ = ["GreedyReport", "build_greedy"]
 
 
-@dataclass(frozen=True)
-class GreedyReport:
+class GreedyReport(Record):
     """Outcome of a greedy run up to max_norm.
 
     included holds the kept elements in processing order.  excluded
@@ -32,6 +31,7 @@ class GreedyReport:
     excluded[e:f] for (i, e), (j, f) = shell_ends[n - 1], shell_ends[n].
     """
 
+    __slots__ = ("max_norm", "included", "excluded", "shell_ends")
     max_norm: int
     included: tuple[HurwitzInt, ...]
     excluded: tuple[tuple[HurwitzInt, tuple[HurwitzInt, HurwitzInt, HurwitzInt]], ...]

@@ -25,9 +25,9 @@ import gc
 import math
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 from .counting import is_rational_prime
+from .records import Record
 
 __all__ = [
     "HurwitzInt",
@@ -184,24 +184,24 @@ def format_norm(norm: int) -> list[str]:
 _pairs: list[list[tuple[int, int]]] = [[]]
 
 
-def _extend_pair_table(limit: int) -> None:
-    have = len(_pairs) - 1
-    if limit <= have:
-        return
-    # Round up so repeated slightly-larger requests do not rebuild.
-    limit = max(limit, 2 * have, 1024)
+def _pair_rows(limit: int) -> list[list[tuple[int, int]]]:
+    """Rows 0..limit of the table, walking only the disc u^2 + v^2 <= limit."""
     pairs = [[] for _ in range(limit + 1)]
     top = math.isqrt(limit)
     for u in range(-top, top + 1):
         uu = u * u
-        for v in range(-top, top + 1):
-            m = uu + v * v
-            if m > limit:
-                continue
-            if (u ^ v) & 1:
-                continue
-            pairs[m].append((u, v))
-    _pairs[:] = pairs
+        lim = math.isqrt(limit - uu)
+        # v runs over the values of u's parity in [-lim, lim].
+        for v in range(-lim + ((lim ^ u) & 1), lim + 1, 2):
+            pairs[uu + v * v].append((u, v))
+    return pairs
+
+
+def _extend_pair_table(limit: int) -> None:
+    have = len(_pairs) - 1
+    if limit > have:
+        # Round up so repeated slightly-larger requests do not rebuild.
+        _pairs[:] = _pair_rows(max(limit, 2 * have, 1024))
 
 
 def _norm_rows(norm: int) -> Iterator[tuple[int, int, list[tuple[int, int]]]]:
@@ -382,14 +382,14 @@ def left_divide(a: HurwitzInt, b: HurwitzInt) -> HurwitzInt | None:
     return None if quot is None else HurwitzInt(*quot)
 
 
-@dataclass(frozen=True)
-class ModelledFactorization:
+class ModelledFactorization(Record):
     """A factorization of a Hurwitz integer following a fixed norm model.
 
     ``factors[i]`` has reduced norm ``prime_norms[i]`` and the ordered
     product of the factors reproduces the original element exactly.
     """
 
+    __slots__ = ("prime_norms", "factors")
     prime_norms: tuple[int, ...]
     factors: tuple[HurwitzInt, ...]
 

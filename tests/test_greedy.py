@@ -1,5 +1,7 @@
 import functools
+import itertools
 import math
+import operator
 import random
 
 import pytest
@@ -112,15 +114,35 @@ def backward_greedy(max_norm, rng=None):
     return tuple(included), tuple(excluded)
 
 
+COORDS = operator.attrgetter("da", "db", "dc", "dd")
+
+
+def report_coords(report):
+    """Every field of a report, each element as its coordinate tuple.
+
+    HurwitzInt equality is coordinate equality, so two reports are equal
+    exactly when these are; comparing them skips a Python-level __eq__
+    per element.  The fields are max_norm, the kept elements, the
+    rejected ones, their witnesses (a, b, r) flattened in order, and
+    shell_ends.
+    """
+    excluded = report.excluded
+    return (report.max_norm,
+            list(map(COORDS, report.included)),
+            list(map(COORDS, [c for c, _ in excluded])),
+            list(map(COORDS, itertools.chain.from_iterable([w for _, w in excluded]))),
+            report.shell_ends)
+
+
 @functools.cache
 def forward_greedy_100(seed):
-    """The oracle to norm 100, shuffled by Random(seed) unless seed is None.
+    """The oracle to norm 100, shuffled by Random(seed) unless seed is None, as report_coords.
 
     Shell n's shuffle draws the same numbers whatever max_norm is, and
     nothing else in the oracle depends on max_norm, so every smaller run
     with the same seed is a norm prefix of this one.
     """
-    return forward_greedy(100, None if seed is None else random.Random(seed))
+    return report_coords(forward_greedy(100, None if seed is None else random.Random(seed)))
 
 
 def _least_prime(n):
@@ -136,11 +158,11 @@ STORAGE_EDGES = sorted({m for n in range(2, 51)
                         if m <= 100} | {t * t + d for t in range(2, 11) for d in (-1, 0)})
 
 
-def norm_prefix(report, max_norm):
-    """The part of a report up to max_norm, as a run to max_norm reports it."""
-    included, excluded = report.shell_ends[max_norm]
-    return GreedyReport(max_norm, report.included[:included], report.excluded[:excluded],
-                        report.shell_ends[:max_norm + 1])
+def norm_prefix(coords, max_norm):
+    """The part of a report_coords up to max_norm, as a run to max_norm reports it."""
+    _, included, excluded, witnesses, shell_ends = coords
+    i, e = shell_ends[max_norm]
+    return (max_norm, included[:i], excluded[:e], witnesses[:3 * e], shell_ends[:max_norm + 1])
 
 
 def unit_scan_squares(m):
@@ -217,14 +239,15 @@ class TestBuildGreedy:
     @pytest.mark.parametrize("max_norm", sorted({*range(1, 41), *STORAGE_EDGES}))
     def test_matches_forward_scan(self, max_norm, seed):
         rng = None if seed is None else random.Random(seed)
-        assert build_greedy(max_norm, rng=rng) == norm_prefix(forward_greedy_100(seed), max_norm)
+        report = build_greedy(max_norm, rng=rng)
+        assert report_coords(report) == norm_prefix(forward_greedy_100(seed), max_norm)
 
     def test_prefix_of_larger_run(self):
         # The key base and the storage cutoffs (see STORAGE_EDGES) all
         # move with max_norm; the decisions and witnesses must not.
-        full = build_greedy(60)
+        full = report_coords(build_greedy(60))
         for max_norm in range(1, 61):
-            assert build_greedy(max_norm) == norm_prefix(full, max_norm)
+            assert report_coords(build_greedy(max_norm)) == norm_prefix(full, max_norm)
 
     @pytest.mark.parametrize("seed", [None, 0, 1])
     @pytest.mark.parametrize("max_norm", [*range(1, 61), 100])
@@ -236,10 +259,10 @@ class TestBuildGreedy:
         assert ends[-1] == (len(report.included), len(report.excluded))
         for n in range(1, max_norm + 1):
             (i, e), (j, f) = ends[n - 1], ends[n]
-            shell = [*report.included[i:j], *(c for c, _ in report.excluded[e:f])]
+            shell = [*report.included[i:j], *[c for c, _ in report.excluded[e:f]]]
             # As many distinct elements of norm n as the class holds.
-            assert all(q.norm() == n for q in shell), n
-            assert len(shell) == len({q.coords for q in shell}) == count_norm_exact(n), n
+            assert set(map(HurwitzInt.norm, shell)) <= {n}, n
+            assert len(shell) == len(set(map(COORDS, shell))) == count_norm_exact(n), n
 
     def test_enumerates_each_norm_once(self, monkeypatch):
         # Ratio classes come from the shells the build enumerates anyway,

@@ -232,6 +232,37 @@ def unfiltered_norm_rows(norm):
             yield da, db, quaternion._pairs[rest - db * db]
 
 
+def double_loop_pair_rows(limit):
+    """Oracle for _pair_rows: every (u, v) in the bounding square, filtered by norm and parity."""
+    pairs = [[] for _ in range(limit + 1)]
+    top = math.isqrt(limit)
+    for u in range(-top, top + 1):
+        for v in range(-top, top + 1):
+            m = u * u + v * v
+            if m <= limit and not (u ^ v) & 1:
+                pairs[m].append((u, v))
+    return pairs
+
+
+class TestPairTable:
+    def test_disc_walk_matches_double_loop(self):
+        # Row m of the table at any limit >= m holds the same pairs in the
+        # same order, so one oracle table serves every smaller limit.
+        oracle = double_loop_pair_rows(2048)
+        for limit in range(2049):
+            assert quaternion._pair_rows(limit) == oracle[:limit + 1], limit
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_disc_walk_matches_double_loop_seeded(self, seed):
+        limit = random.Random(seed).randrange(2049, 40001)
+        assert quaternion._pair_rows(limit) == double_loop_pair_rows(limit)
+
+    def test_table_extends_to_cover(self):
+        quaternion._extend_pair_table(5000)
+        assert len(quaternion._pairs) > 5000
+        assert quaternion._pairs[:5001] == double_loop_pair_rows(5000)
+
+
 class TestEnumeration:
     @pytest.mark.parametrize("n", range(1, 16))
     def test_matches_brute_force(self, n):
