@@ -199,7 +199,7 @@ def _shuffle(rng: random.Random, x: list) -> None:
     len(x) - 1 down to 1, x[i] is swapped with x[j] for j drawn below
     i + 1 by the rejection loop of ``Random._randbelow_with_getrandbits``,
     which redraws ``getrandbits(k)`` with k = (i + 1).bit_length() while
-    it exceeds i.  That code is the same in CPython 3.10 to 3.13, so for
+    it exceeds i.  That code is the same in CPython 3.11 to 3.13, so for
     a ``random.Random`` the permutation and the generator's final state
     equal those of ``rng.shuffle(x)``.  The walk is cut into runs of i
     that share k, which is computed once per run rather than once per

@@ -235,34 +235,31 @@ class TestBuildGreedy:
         assert report.included == included
         assert report.excluded == excluded
 
+    # Each run must be the oracle's norm prefix: the key base and the
+    # storage cutoffs (see STORAGE_EDGES) move with max_norm, and the
+    # decisions and witnesses must not.  So the checks on the oracle's
+    # shells below hold for every run.
     @pytest.mark.parametrize("seed", [None, 0, 1])
-    @pytest.mark.parametrize("max_norm", sorted({*range(1, 41), *STORAGE_EDGES}))
+    @pytest.mark.parametrize("max_norm", sorted({*range(1, 61), *STORAGE_EDGES, 100}))
     def test_matches_forward_scan(self, max_norm, seed):
         rng = None if seed is None else random.Random(seed)
         report = build_greedy(max_norm, rng=rng)
         assert report_coords(report) == norm_prefix(forward_greedy_100(seed), max_norm)
 
-    def test_prefix_of_larger_run(self):
-        # The key base and the storage cutoffs (see STORAGE_EDGES) all
-        # move with max_norm; the decisions and witnesses must not.
-        full = report_coords(build_greedy(60))
-        for max_norm in range(1, 61):
-            assert report_coords(build_greedy(max_norm)) == norm_prefix(full, max_norm)
-
     @pytest.mark.parametrize("seed", [None, 0, 1])
-    @pytest.mark.parametrize("max_norm", [*range(1, 61), 100])
-    def test_shell_ends_bound_each_shell(self, max_norm, seed):
-        # norm() is the oracle for where each shell starts and ends.
-        report = build_greedy(max_norm, rng=None if seed is None else random.Random(seed))
-        ends = report.shell_ends
-        assert len(ends) == max_norm + 1 and ends[0] == (0, 0)
-        assert ends[-1] == (len(report.included), len(report.excluded))
-        for n in range(1, max_norm + 1):
-            (i, e), (j, f) = ends[n - 1], ends[n]
-            shell = [*report.included[i:j], *[c for c, _ in report.excluded[e:f]]]
-            # As many distinct elements of norm n as the class holds.
-            assert set(map(HurwitzInt.norm, shell)) <= {n}, n
-            assert len(shell) == len(set(map(COORDS, shell))) == count_norm_exact(n), n
+    @pytest.mark.parametrize("n", range(1, 101))
+    def test_shell_ends_bound_each_shell(self, n, seed):
+        # The norm is the oracle for where each shell starts and ends.  Every
+        # run is the oracle's norm prefix (test_matches_forward_scan), so the
+        # oracle's shells are checked, each once, with no build of their own.
+        _, included, excluded, _, ends = forward_greedy_100(seed)
+        assert len(ends) == 101 and ends[0] == (0, 0)
+        assert ends[-1] == (len(included), len(excluded))
+        (i, e), (j, f) = ends[n - 1], ends[n]
+        shell = included[i:j] + excluded[e:f]
+        # As many distinct elements of norm n as the class holds.
+        assert {sum(x * x for x in q) for q in shell} <= {4 * n}
+        assert len(shell) == len(set(shell)) == count_norm_exact(n)
 
     def test_enumerates_each_norm_once(self, monkeypatch):
         # Ratio classes come from the shells the build enumerates anyway,
