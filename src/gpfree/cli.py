@@ -87,6 +87,25 @@ def _sig12(value: Fraction | Decimal) -> str:
     return _SIG12.to_sci_string(_SIG12.divide(Decimal(value.numerator), Decimal(value.denominator)))
 
 
+def _too_large(option: str) -> ValueError:
+    return ValueError(f"{option} is too large: its exact value passes the limit of"
+                      f" {sys.get_int_max_str_digits()} digits on a printed integer")
+
+
+def _refuse_far_past_limit(option: str, bits: int) -> None:
+    """Refuse option before its exact value is built, if that value cannot print.
+
+    bits is a lower bound on the bit length of the value's denominator.
+    More than 4 bits per digit of the interpreter's limit on a printed
+    integer (0: no limit) is far past that limit, as a digit takes under
+    3.33 bits, and building such a value can take minutes; _exact
+    refuses the values nearer the limit, exactly.
+    """
+    limit = sys.get_int_max_str_digits()
+    if limit and bits > 4 * limit:
+        raise _too_large(option)
+
+
 def _exact(value: Fraction, option: str) -> dict:
     """value as "p/q" and to 12 digits; option, the argument that sized it, names a refusal."""
     # The rational first: past the interpreter's digit limit str(int) refuses
@@ -95,8 +114,7 @@ def _exact(value: Fraction, option: str) -> dict:
     try:
         rational = f"{value.numerator}/{value.denominator}"
     except ValueError:
-        raise ValueError(f"{option} is too large: its exact value passes the limit of"
-                         f" {sys.get_int_max_str_digits()} digits on a printed integer") from None
+        raise _too_large(option) from None
     return {"rational": rational, "decimal": _sig12(value)}
 
 
@@ -268,12 +286,16 @@ def _cmd_enumerate(args) -> tuple[dict | str, int]:
 
 
 def _cmd_bounds(args) -> tuple[dict | str, int]:
+    option = f"--terms {args.terms}"
+    if args.terms is not None:
+        # The upper bound at t terms reduces to a denominator of 64**t.
+        _refuse_far_past_limit(option, 6 * args.terms + 1)
     return {
         "command": "bounds",
         "lower": _exact(lower_bound_density(), "the lower bound"),
         "provenance": "annuli-vs-doubling-exclusion",
         "terms": "inf" if args.terms is None else args.terms,
-        "upper": _exact(upper_bound_density(args.terms), f"--terms {args.terms}"),
+        "upper": _exact(upper_bound_density(args.terms), option),
     }, 0
 
 
@@ -354,12 +376,15 @@ def _cmd_freegroup_greedy(args) -> tuple[dict | str, int]:
 
 
 def _cmd_freegroup_density(args) -> tuple[dict | str, int]:
+    option = f"--n {args.n}"
+    # Both denominators exceed 3**n > 2**(3n/2).
+    _refuse_far_past_limit(option, 3 * args.n // 2)
     return {
         "command": "freegroup-density",
-        "integers": _exact(greedy_set_density(args.n), f"--n {args.n}"),
+        "integers": _exact(greedy_set_density(args.n), option),
         "n": args.n,
         "provenance": "greedy-share-closed-form",
-        "words": _exact(greedy_words_density(args.n), f"--n {args.n}"),
+        "words": _exact(greedy_words_density(args.n), option),
     }, 0
 
 
@@ -383,18 +408,11 @@ def _cmd_freegroup_witness(args) -> tuple[dict | str, int]:
     return payload, 0
 
 
-def run_checks(quick: bool = False):
-    """Run the check registry, importing gpfree.checks on first use.
-
-    Only verify-all needs the registry, so no other subcommand pays for
-    loading it.
-    """
-    from .checks import run_checks as run_registry
-
-    return run_registry(quick=quick)
-
-
 def _cmd_verify_all(args) -> tuple[dict | str, int]:
+    # Only verify-all needs the check registry, so no other subcommand
+    # pays for loading it.
+    from .checks import run_checks
+
     results = run_checks(quick=args.quick)
     width = max(len(r.name) for r in results)
     lines = [

@@ -223,12 +223,9 @@ def greedy_set_contains(n: int) -> bool:
 
     A positive member has exactly one base-3 digit 1 with only zeros
     below it; a negative member has no digit 1 at all in |n|.  Zero is a
-    member.  A digit that disqualifies n among the low six disqualifies
-    it among all of them, so those are tested first, and all the digits
-    are rendered only when they pass.
+    member.
     """
-    m = abs(n)
-    return _member(_CHUNK_DIGITS[m % 3**6], n < 0) and (m < 3**6 or _member(_lsd(m), n < 0))
+    return _member(_lsd(abs(n)), n < 0)
 
 
 class _Blocked:

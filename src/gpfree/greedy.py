@@ -87,10 +87,13 @@ def build_greedy(max_norm: int, rng: random.Random | None = None) -> GreedyRepor
     with no ``_mul`` and no tuple built.  Left multiplication is linear
     too: with U_j = key(u * 2e_j), key(2(u * x)) = sum(x_j * U_j), which
     gives the 24 keys of an orbit from the coordinates of one element.
-    Witnesses are keyed by key(2c) and hold the kept elements a and b
-    themselves, u * a from the orbit entry and u * b looked up by key as
-    the progression is generated, so each (a, b, r) is built once and
-    becomes c's reported witness.
+    These rows, built by ``_mul``, give every other key: the identity's
+    holds the keys of the 2e_j, and P_j (Q_j) is half the dot product of
+    r (r * r) with the row of the unit 2e_j.  Witnesses are keyed by
+    key(2c) and hold the kept elements a and b themselves, u * a from
+    the orbit entry and u * b looked up by key as the progression is
+    generated, so each (a, b, r) is built once and becomes c's reported
+    witness.
 
     Only the shells a later shell reads are stored.  A progression with
     last term of norm N = s * t * t <= max_norm reads its first term a,
@@ -126,10 +129,11 @@ def build_greedy(max_norm: int, rng: random.Random | None = None) -> GreedyRepor
         raise ValueError(f"max_norm must be positive, got {max_norm}")
     with _collector_paused():
         base = 1 << (((64 * max_norm).bit_length() + 1) // 2)
-        # key(2c) is the sum of c's doubled coordinates times k0..k3, and
-        # key(2u * c) the sum of them times the unit's columns U_0..U_3.
-        k0, k1, k2, k3 = (_key(e, base) for e in _BASIS)
+        # key(2u * c) is the sum of c's doubled coordinates times the unit's
+        # row U_0..U_3, and key(2c) the sum of them times the identity's.
         unit_columns = [tuple(_key(_mul(u.coords, e), base) for e in _BASIS) for u in units()]
+        rows = dict(zip([u.coords for u in units()], unit_columns))
+        k0, k1, k2, k3 = rows[_BASIS[0]]
         quarter = max_norm // 4
         included, excluded, shell_ends = [], [], [(0, 0)]
         include, exclude = included.append, excluded.append
@@ -139,7 +143,7 @@ def build_greedy(max_norm: int, rng: random.Random | None = None) -> GreedyRepor
         for n in range(1, max_norm + 1):
             candidates = enumerate_norm(n)
             if n * n <= max_norm:
-                ratio_columns[n] = [_columns(r, base) for r in candidates
+                ratio_columns[n] = [_columns(r, rows) for r in candidates
                                     if r.coords < (-r.da, -r.db, -r.dc, -r.dd)]
             if rng is not None:
                 _shuffle(rng, candidates)
@@ -226,21 +230,21 @@ def _key(x: tuple[int, int, int, int], base: int) -> int:
     return x0 + base * (x1 + base * (x2 + base * x3))
 
 
-def _columns(r: HurwitzInt, base: int) -> tuple:
+def _columns(r: HurwitzInt, rows: dict[tuple[int, int, int, int], tuple]) -> tuple:
     """r, its coordinates and its column keys P_0..P_3, Q_0..Q_3 (see build_greedy).
 
-    For x = r and x = r * r, the columns 2e_j * x are the products of
-    the units 1, i, j and k with x, whose coordinates are x's own signed
-    and permuted: x, (-x1, x0, -x3, x2), (-x2, x3, x0, -x1) and
-    (-x3, -x2, x1, x0).  So only r * r takes a ``_mul``.
+    rows maps each unit's doubled coordinates to its key row.  The rows
+    of 1, i, j and k hold only entries +-2 * B**k, so halving the dot
+    products of r and r * r with them is exact.
     """
     rc = r.coords
-    b2 = base * base
-    b3 = b2 * base
+    (e0, e1, e2, e3), (i0, i1, i2, i3), (j0, j1, j2, j3), (k0, k1, k2, k3) = map(rows.get, _BASIS)
     columns = [r, rc]
     for x0, x1, x2, x3 in (rc, _mul(rc, rc)):
-        columns += (x0 + x1 * base + x2 * b2 + x3 * b3, x0 * base - x1 + x2 * b3 - x3 * b2,
-                    x0 * b2 - x1 * b3 - x2 + x3 * base, x0 * b3 + x1 * b2 - x2 * base - x3)
+        columns += ((x0 * e0 + x1 * e1 + x2 * e2 + x3 * e3) // 2,
+                    (x0 * i0 + x1 * i1 + x2 * i2 + x3 * i3) // 2,
+                    (x0 * j0 + x1 * j1 + x2 * j2 + x3 * j3) // 2,
+                    (x0 * k0 + x1 * k1 + x2 * k2 + x3 * k3) // 2)
     return tuple(columns)
 
 

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import time
 from collections.abc import Iterator
+from itertools import tee
 from pathlib import Path
 
 import pytest
@@ -254,17 +255,36 @@ class TestDigitLimit:
         assert code == 0
         assert max(map(len, payload[key]["rational"].split("/"))) == digits
 
+    # Values far past the limit refuse as fast, before they are built,
+    # which took from 2.3 s to over a minute for the last four.
     @pytest.mark.parametrize("argv, option", [
         ("bounds --terms 2381", "--terms 2381"),
         ("freegroup density --n 9012", "--n 9012"),
+        ("bounds --terms 100000000", "--terms 100000000"),
+        ("freegroup density --n 1000000", "--n 1000000"),
+        ("freegroup density --n 2000000", "--n 2000000"),
+        ("freegroup density --n 10000000", "--n 10000000"),
     ])
     def test_one_more_names_the_option(self, argv, option, default_digit_limit, capsys):
+        start = time.perf_counter()
         with pytest.raises(SystemExit) as exc:
             run(argv.split())
+        assert time.perf_counter() - start < 1
         assert exc.value.code == 2
         assert capsys.readouterr() == ("", f"gpfree: error: {option} is too large: its exact"
                                            " value passes the limit of 4300 digits on a"
                                            " printed integer\n")
+
+    def test_no_limit_prints(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            code, payload = invoke_json(capsys, "bounds", "--terms", "3000")
+            expected = f"{(20 * 64**3000 + 1) // 21}/{64**3000}"
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert code == 0
+        assert payload["upper"]["rational"] == expected
 
 
 class TestCallerDecimalContext:
@@ -406,6 +426,17 @@ def materialized(value):
     return value
 
 
+def copied(value):
+    """Two copies of a handler's result, whose lazy lists read each run once between them."""
+    if isinstance(value, Iterator):
+        return tee(value)
+    if isinstance(value, dict):
+        pairs = {key: copied(item) for key, item in value.items()}
+        return ({key: first for key, (first, _) in pairs.items()},
+                {key: second for key, (_, second) in pairs.items()})
+    return value, value
+
+
 def handler_result(argv):
     args = _build_parser()[0].parse_args(argv)
     result, _ = args.func(args)
@@ -431,8 +462,10 @@ class TestJsonWriter:
 
     @pytest.mark.parametrize("argv", HANDLER_ARGV)
     def test_handler_result(self, argv, capsys):
-        expected = json.dumps(materialized(handler_result(argv.split())), sort_keys=True, indent=2)
-        assert "".join(_json_chunks(handler_result(argv.split()))) == expected
+        # One run of the handler for both encoders; the writer gets lazy lists.
+        result, lazy = copied(handler_result(argv.split()))
+        expected = json.dumps(materialized(result), sort_keys=True, indent=2)
+        assert "".join(_json_chunks(lazy)) == expected
         _, out = invoke(capsys, *argv.split())
         assert out == expected + "\n"
 
@@ -586,7 +619,7 @@ class TestOutputTargets:
     FAKE_REPORT = "PASS alpha (  0.01s) fine\nFAIL beta  (  0.02s) broke\n1/2 checks passed\n"
 
     def test_verify_all_output_flag(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr("gpfree.cli.run_checks", lambda quick: self.FAKE_CHECKS)
+        monkeypatch.setattr("gpfree.checks.run_checks", lambda quick: self.FAKE_CHECKS)
         target = tmp_path / "v.txt"
         code = run(["--output", str(target), "verify-all", "--quick"])
         assert code == 1
@@ -594,7 +627,7 @@ class TestOutputTargets:
         assert target.read_text() == self.FAKE_REPORT
 
     def test_verify_all_output_dir_env(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr("gpfree.cli.run_checks", lambda quick: self.FAKE_CHECKS)
+        monkeypatch.setattr("gpfree.checks.run_checks", lambda quick: self.FAKE_CHECKS)
         monkeypatch.setenv("GPFREE_OUTPUT_DIR", str(tmp_path))
         code = run(["verify-all", "--quick"])
         assert code == 1
@@ -608,7 +641,7 @@ class TestVerifyAll:
             CheckResult("alpha", True, "fine", 0.01),
             CheckResult("beta-long-name", False, "broke", 0.02),
         ]
-        monkeypatch.setattr("gpfree.cli.run_checks", lambda quick: fake)
+        monkeypatch.setattr("gpfree.checks.run_checks", lambda quick: fake)
         code, out = invoke(capsys, "verify-all")
         assert code == 1
         lines = out.strip().split("\n")
@@ -618,7 +651,7 @@ class TestVerifyAll:
 
     def test_all_green_exits_zero(self, capsys, monkeypatch):
         fake = [CheckResult("alpha", True, "fine", 0.01)]
-        monkeypatch.setattr("gpfree.cli.run_checks", lambda quick: fake)
+        monkeypatch.setattr("gpfree.checks.run_checks", lambda quick: fake)
         code, out = invoke(capsys, "verify-all")
         assert code == 0
         assert out.strip().split("\n")[-1] == "1/1 checks passed"
@@ -666,8 +699,6 @@ PINNED_BYTES = [
     # recorded before the output was rendered from coordinates and streamed
     ("greedy-hur --max-norm 100",
      "0b1c57b402a936ac48baec0705511905a30463b655bef6bf987313637bca3209"),
-    ("greedy-hur --max-norm 100 --emit csv",
-     "57901119670291448fedc086ac7bb7099e8b0437cd09c97701d6a34b7c30c42f"),
     ("count --table 2000",
      "5a7b362a2473d337493f560e26417f3e442f7ad5210ddfebd08aeedeb3f76488"),
     ("enumerate --norm 2000 --emit text",

@@ -463,11 +463,11 @@ class TestWitnesses:
         assert_matches_oracle(rng.randint(-(3**60), 3**60) for _ in range(20_000))
 
     def test_contains_matches_oracle_past_the_low_chunk(self):
-        # greedy_set_contains tests the low six digits before rendering the
-        # rest.  Plain draws mostly fail there, so most of these are built
-        # to pass it: up to 30 digits 0 and 2, with a positive member's
-        # lowest 1 on top of zeros, then one digit redrawn; and the
-        # integers next to each power of 3 up to 3**30.
+        # A plain draw is mostly refused by its low six digits, the first
+        # chunk _lsd renders, so most of these are built to pass them, for
+        # the digits above to decide: up to 30 digits 0 and 2, with a
+        # positive member's lowest 1 on top of zeros, then one digit
+        # redrawn; and the integers next to each power of 3 up to 3**30.
         rng = random.Random(26)
         ns = [rng.randint(-(3**30), 3**30) for _ in range(20_000)]
         for _ in range(20_000):

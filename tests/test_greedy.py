@@ -299,12 +299,14 @@ class TestKeys:
     @pytest.mark.parametrize("base", key_bases(range(1, 401)))
     def test_columns_match_mul(self, base):
         # The oracle: the key of _mul(2e_j, x) for x = r and x = r * r.
+        rows = {u: tuple(greedy._key(_mul(u, e), base) for e in greedy._BASIS)
+                for u in greedy._BASIS}
         for t in range(1, 31):
             for r in enumerate_norm(t):
                 rc = r.coords
                 oracle = [greedy._key(_mul(e, x), base)
                           for x in (rc, _mul(rc, rc)) for e in greedy._BASIS]
-                assert greedy._columns(r, base) == (r, rc, *oracle), (base, rc)
+                assert greedy._columns(r, rows) == (r, rc, *oracle), (base, rc)
 
     def test_orbit_entries_hold_elements(self):
         base = key_bases([1])[0]
