@@ -14,7 +14,8 @@ JSON and writes to stdout, to the --output path, or, with no --output
 and GPFREE_OUTPUT_DIR set, to <subcommand>.<ext> in that directory (ext
 is json for a dict, csv for --emit csv, txt otherwise).  Chunks are
 written one by one, so greedy-hur renders and writes one norm shell at
-a time and never holds its whole output.
+a time, and count --table a run of rows at a time, and neither holds
+its whole output.
 
 The JSON is the bytes of json.dumps(result, sort_keys=True, indent=2)
 for what the handlers emit (see _json_chunks), which the tests check
@@ -45,15 +46,16 @@ import decimal
 import functools
 import os
 import sys
+# json.encoder's own encode_basestring_ascii, without loading the json package.
+from _json import encode_basestring_ascii as _quote
 from collections.abc import Callable, Iterable, Iterator
 from decimal import Decimal
 from fractions import Fraction
-from itertools import chain, pairwise
-from json.encoder import encode_basestring_ascii as _quote
+from itertools import chain, islice, pairwise
 from operator import attrgetter, itemgetter
 from pathlib import Path
 
-from .counting import NormCount, count_norm_exact, count_upto
+from .counting import MAX_TABLE_NORM, NormCount, count_norm_exact, count_upto
 from .density import (
     DEFAULT_ANNULI,
     lower_bound_density,
@@ -252,18 +254,32 @@ def _write(result: dict | str | Iterable[str], args) -> None:
         raise
 
 
-def _cmd_count(args) -> tuple[dict | str, int]:
+# count --table renders and writes this many rows at a time.
+_TABLE_RUN = 4096
+
+
+def _table_runs(table: NormCount) -> Iterator[list[tuple[int, int, int]]]:
+    """The (norm, count, cumulative) rows of a table, in lists of _TABLE_RUN rows."""
+    rows = zip(range(1, table.max_norm + 1), table.per_norm.values(), table.cumulative.values())
+    while run := list(islice(rows, _TABLE_RUN)):
+        yield run
+
+
+def _cmd_count(args) -> tuple[dict | str | Iterator[str], int]:
     if args.table is not None:
         if args.table < 1:
             raise ValueError(f"--table must be positive, got {args.table}")
-        table = NormCount.build(args.table)
+        if args.table > MAX_TABLE_NORM:
+            raise ValueError(f"--table must be at most {MAX_TABLE_NORM}, where the cumulative"
+                             f" count still fits 64 bits, got {args.table}")
+        runs = _table_runs(NormCount.build(args.table))
         header = ("norm", "count", "cumulative")
-        rows = list(zip(range(1, args.table + 1), table.per_norm.values(),
-                        table.cumulative.values()))
+        # Lazy: each run is rendered as it is written (see _json_chunks for JSON).
         if args.emit == "csv":
-            return "".join(f"{n},{c},{s}\n" for n, c, s in [header, *rows]), 0
+            return chain([",".join(header) + "\n"],
+                         ("".join(map("%d,%d,%d\n".__mod__, run)) for run in runs)), 0
         return {"command": "count", "max_norm": args.table, "provenance": "odd-divisor-sieve",
-                "rows": [dict(zip(header, row)) for row in rows]}, 0
+                "rows": ([dict(zip(header, row)) for row in run] for run in runs)}, 0
     if args.emit == "csv":
         raise ValueError("--emit csv needs --table; --norm and --upto give one JSON object")
     if args.upto is not None:

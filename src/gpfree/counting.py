@@ -14,12 +14,14 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from collections.abc import Mapping, ValuesView
+from array import array
+from collections.abc import Mapping, Sequence, ValuesView
 from fractions import Fraction
 
 from .records import Record
 
 __all__ = [
+    "MAX_TABLE_NORM",
     "NormCount",
     "count_norm_exact",
     "count_upto",
@@ -336,18 +338,21 @@ def count_upto(max_norm: int) -> int:
 
 
 def _norm_counts_upto(max_norm: int) -> list[int]:
-    """Sieve of count_norm_exact(n) = 24 * (sum of odd divisors) for 1..max_norm.
+    """Sieve of count_norm_exact(n) = 24 * (sum of odd divisors) for 1..max_norm (max_norm >= 1).
 
     Index 0 is unused.  Every odd n splits as d * m with odd d <= m in
     one way per divisor pair, so for each odd d <= sqrt(max_norm) one
     slice assignment adds 24 * (d + m) to counts[d * m] for all odd
     m >= d, and the square d * d then takes 24 * d back, as its pair
-    holds one divisor.  Even n are filled by block copies, since 2**k * m
-    has the odd divisors of m: for each k, counts[2**k * m] = counts[m]
-    for every odd m <= max_norm >> k.
+    holds one divisor.  The row d = 1 finds only zeros, so it is written
+    as it is, without the slice copy and the additions.  Even n are
+    filled by block copies, since 2**k * m has the odd divisors of m:
+    for each k, counts[2**k * m] = counts[m] for every odd m <= max_norm >> k.
     """
     counts = [0] * (max_norm + 1)
-    for d in range(1, math.isqrt(max_norm) + 1, 2):
+    counts[1::2] = range(48, 24 * max_norm + 25, 48)
+    counts[1] -= 24
+    for d in range(3, math.isqrt(max_norm) + 1, 2):
         row = counts[d * d :: 2 * d]
         counts[d * d :: 2 * d] = map(operator.add, row, range(48 * d, 48 * (d + len(row)), 48))
         counts[d * d] -= 24 * d
@@ -358,8 +363,16 @@ def _norm_counts_upto(max_norm: int) -> list[int]:
     return counts
 
 
+# The largest max_norm whose count_upto fits a signed 64-bit integer:
+# count_upto(966_707_282) < 2**63 <= count_upto(966_707_283).
+MAX_TABLE_NORM = 966_707_282
+
+# NormCount.build accumulates this many norms at a time.
+_CUMULATIVE_CHUNK = 4096
+
+
 class _NormValues(ValuesView):
-    """The values of a _ByNorm in norm order, iterated straight off its list."""
+    """The values of a _ByNorm in norm order, iterated straight off its sequence."""
 
     __slots__ = ()
 
@@ -370,13 +383,13 @@ class _NormValues(ValuesView):
 class _ByNorm(Mapping):
     """Read-only mapping from each norm 1..len(values) - 1 to values[norm].
 
-    values[0] is a placeholder, so a norm indexes the list directly; any
-    other key raises KeyError.
+    values is a list or an array; values[0] is a placeholder, so a norm
+    indexes it directly; any other key raises KeyError.
     """
 
     __slots__ = ("_values",)
 
-    def __init__(self, values: list[int]):
+    def __init__(self, values: Sequence[int]):
         self._values = values
 
     def __getitem__(self, norm):
@@ -401,8 +414,12 @@ class NormCount(Record):
     """Per-norm and cumulative counts for all norms up to a bound.
 
     per_norm and cumulative are read-only mappings over the norms
-    1..max_norm, each backed by one list indexed by norm; a key outside
-    that range raises KeyError, and .values() runs in norm order.
+    1..max_norm; a key outside that range raises KeyError, and .values()
+    runs in norm order.  per_norm is backed by the sieve's list of ints,
+    in which each even norm shares the int object of its odd part.
+    cumulative is backed by an ``array('q')`` of signed 64-bit integers,
+    which is why max_norm stops at MAX_TABLE_NORM.  Both are indexed by
+    norm, with a placeholder at 0.
     """
 
     __slots__ = ("max_norm", "per_norm", "cumulative")
@@ -412,11 +429,29 @@ class NormCount(Record):
 
     @classmethod
     def build(cls, max_norm: int) -> "NormCount":
-        """Tabulate counts for 1..max_norm with a divisor sieve."""
+        """Tabulate counts for 1..max_norm with a divisor sieve.
+
+        The cumulative column is summed a chunk of norms at a time
+        straight into its array, so no list of its ints is built.
+
+        Raises:
+            ValueError: if max_norm < 1, or if max_norm > MAX_TABLE_NORM,
+                past which the cumulative count does not fit 64 bits;
+                either before anything is built.
+        """
         if max_norm < 1:
             raise ValueError(f"max_norm must be positive, got {max_norm}")
+        if max_norm > MAX_TABLE_NORM:
+            raise ValueError(f"max_norm must be at most {MAX_TABLE_NORM}, where the cumulative"
+                             f" count still fits 64 bits, got {max_norm}")
         per_norm = _norm_counts_upto(max_norm)
-        cumulative = list(itertools.accumulate(per_norm))
+        cumulative = array("q")
+        total = 0
+        for start in range(0, max_norm + 1, _CUMULATIVE_CHUNK):
+            run = list(itertools.accumulate(per_norm[start : start + _CUMULATIVE_CHUNK],
+                                            initial=total))
+            total = run[-1]
+            cumulative.fromlist(run[1:])
         return cls(max_norm, _ByNorm(per_norm), _ByNorm(cumulative))
 
 

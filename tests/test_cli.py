@@ -9,15 +9,18 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from collections.abc import Iterator
-from itertools import tee
+from itertools import islice, tee
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import gpfree
 from gpfree.checks import CheckResult
-from gpfree.cli import _build_parser, _direct_parse, _json_chunks, run
+from gpfree.cli import _TABLE_RUN, _build_parser, _direct_parse, _json_chunks, run
+from gpfree.counting import MAX_TABLE_NORM, NormCount, count_norm_exact, count_upto
 from gpfree.greedy import build_greedy
 from gpfree.quaternion import enumerate_norm
 
@@ -79,14 +82,35 @@ class TestCount:
         ("count --upto 1000000000001", "--upto must be at most 10**12, got 1000000000001"),
         ("count --table 0", "--table must be positive, got 0"),
         ("count --table -4 --emit csv", "--table must be positive, got -4"),
+        *((f"count --table {MAX_TABLE_NORM + 1} --emit {emit}",
+           f"--table must be at most {MAX_TABLE_NORM}, where the cumulative count still"
+           f" fits 64 bits, got {MAX_TABLE_NORM + 1}") for emit in ("json", "csv")),
     ])
     def test_rejected_bound_names_option(self, argv, message, capsys):
+        start = time.perf_counter()
         with pytest.raises(SystemExit) as exc:
             run(argv.split())
+        assert time.perf_counter() - start < 1
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"gpfree: error: {message}\n"
+
+    def test_table_memory_bound(self, tmp_path):
+        # The rows are rendered and written a run at a time: about 6 MB
+        # at peak, of which the table is 3.6 MB, against 52 MB when every
+        # row's dict was built before the first write.
+        target = tmp_path / "table.json"
+        tracemalloc.start()
+        try:
+            code = run(["--output", str(target), "count", "--table", "100000", "--emit", "json"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert json.loads(target.read_text())["rows"][-1] == {
+            "norm": 100000, "count": count_norm_exact(100000), "cumulative": count_upto(100000)}
+        assert peak < 10 * 10**6
 
     def test_upto_at_the_bound_is_counted(self, monkeypatch, capsys):
         # count_upto itself takes about 0.6 s at 10**12; the bound is what is tested.
@@ -557,6 +581,39 @@ class TestStreamFailure:
         assert captured.err == "gpfree: error: render failed\n"
         assert target.read_text() == self.HEADERS[emit]
 
+    @staticmethod
+    def fail_after_first_run(monkeypatch):
+        """Make count --table's cumulative column fail once its first run is read."""
+        def build(max_norm):
+            table = NormCount.build(max_norm)
+
+            def values():
+                yield from islice(table.cumulative.values(), _TABLE_RUN)
+                raise ValueError("render failed")
+            return NormCount(max_norm, table.per_norm, SimpleNamespace(values=values))
+        monkeypatch.setattr("gpfree.cli.NormCount", SimpleNamespace(build=build))
+
+    # count --table writes its rows a run at a time, so a failure in the
+    # second run leaves the header and the first run's rows.
+    @pytest.mark.parametrize("emit", ["csv", "json"])
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "output-file"])
+    def test_table_keeps_prefix(self, emit, to_file, tmp_path, capsys, monkeypatch):
+        argv = ["count", "--table", "5000", "--emit", emit]
+        _, whole = invoke(capsys, *argv)
+        if emit == "csv":
+            expected = "".join(whole.splitlines(keepends=True)[:_TABLE_RUN + 1])
+        else:
+            end = f'"norm": {_TABLE_RUN}\n    }}'
+            expected = whole[:whole.index(end) + len(end)]
+        self.fail_after_first_run(monkeypatch)
+        target = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            run(["--output", str(target), *argv] if to_file else argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err == "gpfree: error: render failed\n"
+        assert (target.read_text() if to_file else captured.out) == expected
+
     # As `gpfree greedy-hur --max-norm 100 --emit csv | head -1`, about 4 MB
     # for a reader that takes one line and goes, and as `gpfree count
     # --norm 5 | true`, whose reader is gone before the first write; with
@@ -657,15 +714,26 @@ class TestVerifyAll:
         assert out.strip().split("\n")[-1] == "1/1 checks passed"
 
 
-def test_import_leaves_checks_unloaded():
-    # verify-all alone needs the check registry, so importing the CLI
-    # must not load it.
-    code = "import sys, gpfree.cli; print('gpfree.checks' in sys.modules)"
+def loaded_after_cli_import(module):
+    """Whether a fresh interpreter has module loaded after `import gpfree.cli`."""
+    code = f"import sys, gpfree.cli; print({module!r} in sys.modules)"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(Path(gpfree.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             env=env, check=True)
-    assert result.stdout == "False\n"
+    return {"True\n": True, "False\n": False}[result.stdout]
+
+
+def test_import_leaves_checks_unloaded():
+    # verify-all alone needs the check registry, so importing the CLI
+    # must not load it.
+    assert not loaded_after_cli_import("gpfree.checks")
+
+
+def test_import_leaves_json_unloaded():
+    # The writer takes its string encoder from _json; json.encoder would
+    # load the whole json package, decoder and scanner with it.
+    assert not loaded_after_cli_import("json")
 
 
 # Output bytes of every subcommand, recorded before the handlers

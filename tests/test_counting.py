@@ -57,7 +57,8 @@ def odd_divisor_sums_oracle(max_norm):
 
 @pytest.mark.parametrize("max_norms", [range(1, 131), [5000]], ids=["1-130", "5000"])
 def test_odd_divisor_sieve_matches_double_loop(max_norms):
-    # the squares that start each slice and the block copies of even n
+    # the first row, written directly (1, 2 and 3 are its edge), the
+    # squares that start each later slice and the block copies of even n
     # are where a small bound goes wrong
     for max_norm in max_norms:
         oracle = [24 * s for s in odd_divisor_sums_oracle(max_norm)]
@@ -456,15 +457,38 @@ class TestNormCountMapping:
         assert table.per_norm[1] == 24 and table.cumulative[5] == 312
 
     def test_build_memory_bound(self):
-        # The two lists peak at about 8 MB; a dict with an entry per
-        # norm for each table would take about 23 MB.
+        # The per-norm list and its ints and the packed cumulative array
+        # peak at about 3.6 MB; a list of cumulative ints beside them
+        # took 6.8 MB, and a dict with an entry per norm for each table
+        # would take about 23 MB.
         tracemalloc.start()
         try:
             NormCount.build(10**5)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 12 * 10**6
+        assert peak < 5 * 10**6
+
+    # Every bound to 300, and each side of the edges of the chunks the
+    # cumulative column is summed in.
+    @pytest.mark.parametrize("max_norms", [range(1, 301), [4095, 4096, 4097, 8191, 8192, 8193, 10**5]],
+                             ids=["1-300", "chunk-edges"])
+    def test_cumulative_matches_accumulate(self, max_norms):
+        for max_norm in max_norms:
+            table = NormCount.build(max_norm)
+            per_norm = list(table.per_norm.values())
+            assert list(table.cumulative.values()) == list(itertools.accumulate(per_norm))
+            assert table.cumulative[max_norm] == count_upto(max_norm)
+
+    def test_cumulative_limit_is_the_last_64_bit_total(self):
+        limit = counting.MAX_TABLE_NORM
+        assert count_upto(limit) < 2**63 <= count_upto(limit + 1)
+
+    def test_past_the_limit_refused_at_once(self):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"^max_norm must be at most {counting.MAX_TABLE_NORM},"):
+            NormCount.build(counting.MAX_TABLE_NORM + 1)
+        assert time.perf_counter() - start < 1
 
 
 class TestProportions:
