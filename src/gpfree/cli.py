@@ -381,6 +381,8 @@ def _cmd_greedy_hur(args) -> tuple[dict | Iterator[str], int]:
 
 
 def _cmd_freegroup_greedy(args) -> tuple[dict | str, int]:
+    if args.max_len > 2 * 3**10:  # every kept word is written out: 121 MB of JSON there
+        raise ValueError(f"--max-len must be at most {2 * 3**10}, got {args.max_len}")
     kept = sorted(greedy_words_bruteforce(args.max_len), key=index_of)
     return {
         "command": "freegroup-greedy",

@@ -10,6 +10,20 @@ even-length words only, and pulling it back through the isomorphism
 a clean base-3 digit description with an explicit arithmetic
 progression witnessing every exclusion.
 
+Every word is handled through one integer, its signed length n: +length
+when it leads with x, -length when it leads with y, 0 for the identity.
+With t = xy, the word of signed length n is t**m * x**s with n = 2m + s
+and s in {0, 1}: the even words are the powers of t, and the odd ones
+are t**m * x, led by x when m >= 0 and by y when m < 0.  The
+enumeration order is the order 0, 1, -1, 2, -2, ... of n
+(``alt_order_value``).  Since x * t * x = t**-1,
+
+    (t**m1 * x**s1) * (t**m2 * x**s2) = t**(m1 + (-1)**s1 * m2) * x**(s1 xor s2),
+
+which on signed lengths is n1 + (-1)**n1 * n2.  So an odd word is its
+own inverse, t**m has inverse t**-m, and (xy)**k -> k halves the signed
+length.
+
 The two greedies count progressions differently.
 ``greedy_set_bruteforce`` counts only arithmetic progressions of three
 distinct integers, which in the integers means every nonzero
@@ -69,16 +83,13 @@ class Word(Record):
     leading: str | None
     length: int
 
-    def __init__(self, leading: str | None, length: int):
-        # Not Record's generic __init__, which is twice as slow: words are built in bulk.
-        if length < 0:
-            raise ValueError(f"length must be nonnegative, got {length}")
-        if (length == 0) != (leading is None):
-            raise ValueError(f"leading {leading!r} inconsistent with length {length}")
-        if leading is not None and leading not in _OTHER:
-            raise ValueError(f"leading letter must be 'x' or 'y', got {leading!r}")
-        object.__setattr__(self, "leading", leading)
-        object.__setattr__(self, "length", length)
+    def _validate(self) -> None:
+        if self.length < 0:
+            raise ValueError(f"length must be nonnegative, got {self.length}")
+        if (self.length == 0) != (self.leading is None):
+            raise ValueError(f"leading {self.leading!r} inconsistent with length {self.length}")
+        if self.leading is not None and self.leading not in _OTHER:
+            raise ValueError(f"leading letter must be 'x' or 'y', got {self.leading!r}")
 
     @property
     def last(self) -> str | None:
@@ -88,11 +99,8 @@ class Word(Record):
         return self.leading if self.length % 2 else _OTHER[self.leading]
 
     def inverse(self) -> "Word":
-        # An odd word is a palindrome, hence its own inverse; an even
-        # word reverses to the same length led by the other letter.
-        if self.length % 2 or self.length == 0:
-            return self
-        return Word(_OTHER[self.leading], self.length)
+        n = _signed(self)
+        return _word(n if n & 1 else -n)
 
     def __str__(self) -> str:
         if self.length == 0:
@@ -104,26 +112,20 @@ class Word(Record):
 IDENTITY = Word(None, 0)
 
 
-def word_mul(u: Word, v: Word) -> Word:
-    """Product in the group, with full cancellation at the seam.
+def _signed(w: Word) -> int:
+    """The signed length of w (see the module docstring)."""
+    return w.length if w.leading == "x" else -w.length
 
-    When the last letter of u equals the first of v, a block of length
-    2 * min(len(u), len(v)) cancels; the survivor keeps its leading
-    letter if u was longer, and flips it once per cancelled letter of u
-    otherwise.
-    """
-    if u.length == 0:
-        return v
-    if v.length == 0:
-        return u
-    if u.last != v.leading:
-        return Word(u.leading, u.length + v.length)
-    if u.length > v.length:
-        return Word(u.leading, u.length - v.length)
-    if u.length < v.length:
-        lead = v.leading if u.length % 2 == 0 else _OTHER[v.leading]
-        return Word(lead, v.length - u.length)
-    return IDENTITY
+
+def _word(n: int) -> Word:
+    """The word of signed length n; inverse of _signed."""
+    return Word("x" if n > 0 else "y", abs(n)) if n else IDENTITY
+
+
+def word_mul(u: Word, v: Word) -> Word:
+    """Product in the group, by the product rule of the module docstring."""
+    n = _signed(u)
+    return _word(n + (-1) ** (n & 1) * _signed(v))
 
 
 def word_at(n: int) -> Word:
@@ -134,18 +136,13 @@ def word_at(n: int) -> Word:
     Raises:
         ValueError: if n < 1.
     """
-    if n < 1:
-        raise ValueError(f"index must be at least 1, got {n}")
-    if n == 1:
-        return IDENTITY
-    return Word("x" if n % 2 == 0 else "y", n // 2)
+    return _word(alt_order_value(n))
 
 
 def index_of(w: Word) -> int:
     """Position of w in the enumeration order; inverse of word_at."""
-    if w.length == 0:
-        return 1
-    return 2 * w.length + (0 if w.leading == "x" else 1)
+    n = _signed(w)
+    return 2 * abs(n) + (n <= 0)
 
 
 def even_word_to_int(w: Word) -> int:
@@ -154,12 +151,10 @@ def even_word_to_int(w: Word) -> int:
     Raises:
         ValueError: if the word has odd length.
     """
-    if w.length % 2:
+    n = _signed(w)
+    if n & 1:
         raise ValueError(f"word {w} has odd length")
-    if w.length == 0:
-        return 0
-    k = w.length // 2
-    return k if w.leading == "x" else -k
+    return n >> 1
 
 
 def alt_order_value(n: int) -> int:
@@ -170,8 +165,6 @@ def alt_order_value(n: int) -> int:
     """
     if n < 1:
         raise ValueError(f"index must be at least 1, got {n}")
-    if n == 1:
-        return 0
     return n // 2 if n % 2 == 0 else -(n // 2)
 
 
@@ -282,14 +275,9 @@ def greedy_words_bruteforce(max_len: int) -> set[Word]:
     must already be kept (or coincide with w).  Progressions with a
     repeated term count too (see the module docstring).
 
-    The greedy runs on integer coordinates.  With t = xy, every word is
-    t**m * x**s for one type s in {0, 1}; since x * t * x = t**-1, an
-    odd word is its own inverse.  Give each word the signed length
-    n = +length when it leads with x and -length when it leads with y:
-    then n = 2m + s, the even words are t**(n/2), x-led odd words are
-    t**k * x with n = 2k + 1 and y-led ones are t**-(k+1) * x with
-    n = -(2k + 1).  The enumeration order is the order 0, 1, -1, 2, -2,
-    ... of n, in which |m| never decreases within a type.
+    The greedy runs on the coordinates t**m * x**s of the module
+    docstring, taking the signed lengths n = 2m + s in the enumeration
+    order, in which |m| never decreases within a type s.
 
     The progression tests reduce as follows.  A progression with terms
     w and a kept b != w has its third term b * w**-1 * b (w first or
@@ -311,8 +299,7 @@ def greedy_words_bruteforce(max_len: int) -> set[Word]:
         s, m = n & 1, n >> 1
         if not states[1 - s].kept and m not in states[s].blocked:
             states[s].keep(m)
-    signed = [2 * m + s for s, state in enumerate(states) for m in state.kept]
-    return {Word("x", n) if n > 0 else Word("y", -n) if n < 0 else IDENTITY for n in signed}
+    return {_word(2 * m + s) for s, state in enumerate(states) for m in state.kept}
 
 
 def greedy_words_density(n: int) -> Fraction:

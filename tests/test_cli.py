@@ -21,6 +21,7 @@ import gpfree
 from gpfree.checks import CheckResult
 from gpfree.cli import _TABLE_RUN, _build_parser, _direct_parse, _json_chunks, run
 from gpfree.counting import MAX_TABLE_NORM, NormCount, count_norm_exact, count_upto
+from gpfree.freegroup import IDENTITY
 from gpfree.greedy import build_greedy
 from gpfree.quaternion import enumerate_norm
 
@@ -97,20 +98,20 @@ class TestCount:
         assert captured.err == f"gpfree: error: {message}\n"
 
     def test_table_memory_bound(self, tmp_path):
-        # The rows are rendered and written a run at a time: about 6 MB
-        # at peak, of which the table is 3.6 MB, against 52 MB when every
-        # row's dict was built before the first write.
+        # The rows are rendered and written a run at a time: about 3.5 MB
+        # at peak for 20,000 rows, against 10.6 MB when every row's dict
+        # was built before the first write.
         target = tmp_path / "table.json"
         tracemalloc.start()
         try:
-            code = run(["--output", str(target), "count", "--table", "100000", "--emit", "json"])
+            code = run(["--output", str(target), "count", "--table", "20000", "--emit", "json"])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert code == 0
         assert json.loads(target.read_text())["rows"][-1] == {
-            "norm": 100000, "count": count_norm_exact(100000), "cumulative": count_upto(100000)}
-        assert peak < 10 * 10**6
+            "norm": 20000, "count": count_norm_exact(20000), "cumulative": count_upto(20000)}
+        assert peak < 6 * 10**6
 
     def test_upto_at_the_bound_is_counted(self, monkeypatch, capsys):
         # count_upto itself takes about 0.6 s at 10**12; the bound is what is tested.
@@ -418,6 +419,24 @@ class TestFreegroup:
         assert code == 0
         assert payload["included"] == ["I", "xy", "yxyx", "xyxyxy"]
         assert payload["count"] == 4
+
+    @pytest.mark.parametrize("max_len", [2 * 3**10 + 1, 10**6])
+    def test_greedy_past_the_bound_exits_2_at_once(self, max_len, capsys):
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            run(["freegroup", "greedy", "--max-len", str(max_len)])
+        assert time.perf_counter() - start < 1
+        assert exc.value.code == 2
+        assert capsys.readouterr() == (
+            "", f"gpfree: error: --max-len must be at most 118098, got {max_len}\n")
+
+    def test_greedy_at_the_bound_is_run(self, monkeypatch, capsys):
+        # The greedy writes 121 MB of JSON there; the bound is what is tested.
+        monkeypatch.setattr("gpfree.cli.greedy_words_bruteforce", lambda max_len: {IDENTITY})
+        code, payload = invoke_json(capsys, "freegroup", "greedy", "--max-len", str(2 * 3**10))
+        assert code == 0
+        assert payload["max_len"] == 2 * 3**10
+        assert payload["included"] == ["I"]
 
     def test_density(self, capsys):
         code, payload = invoke_json(capsys, "freegroup", "density", "--n", "1")

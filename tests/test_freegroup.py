@@ -302,6 +302,15 @@ class TestWordMul:
         assert word_mul(Word("x", 2), Word("y", 2)) == IDENTITY
         assert word_mul(Word("x", 2), Word("x", 2)) == Word("x", 4)
 
+    def test_matches_string_rewriter_on_short_words(self):
+        # word_mul works on coordinates; the rewriter cancels letters.
+        short = [IDENTITY] + [Word(lead, n) for n in range(1, 13) for lead in "xy"]
+        assert len(short) ** 2 == 625
+        for u in short:
+            for v in short:
+                expected = rewrite_product(word_to_string(u), word_to_string(v))
+                assert word_to_string(word_mul(u, v)) == expected, (u, v)
+
     @given(words(), words())
     def test_matches_string_rewriter(self, u, v):
         got = word_mul(u, v)
@@ -329,6 +338,22 @@ class TestOrderings:
         assert [str(word_at(n)) for n in range(1, 10)] == [
             "I", "x", "y", "xy", "yx", "xyx", "yxy", "xyxy", "yxyx",
         ]
+
+    def test_coordinates_match_string_forms(self):
+        # The first 200 words written out as strings, length by length
+        # with x before y, against the maps that go through signed lengths.
+        strings = [""] + [(pair * n)[:n] for n in range(1, 101) for pair in ("xy", "yx")]
+        for idx, s in enumerate(strings[:200], 1):
+            w = word_at(idx)
+            assert word_to_string(w) == s
+            assert index_of(w) == idx
+            assert word_to_string(w.inverse()) == s[::-1]
+            if len(s) % 2:
+                with pytest.raises(ValueError):
+                    even_word_to_int(w)
+            else:
+                k = even_word_to_int(w)
+                assert s == ("xy" * k if k >= 0 else "yx" * -k)
 
     @given(st.integers(min_value=1, max_value=10_000))
     def test_word_index_roundtrip(self, n):
